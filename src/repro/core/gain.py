@@ -15,14 +15,13 @@ Paired runs flow through :meth:`GraphLDPProtocol.collect_paired`: the honest
 world is collected once and the after-world derived from the shared state —
 bit-identical to two seed-replayed ``collect`` calls, but the honest
 randomness is drawn once and the estimators can update honest estimates
-incrementally over the attacker-touched rows.  ``REPRO_PAIRED_COLLECTION=0``
-forces the legacy two-collection path (identical outputs; the knob exists for
-A/B benchmarking and bisection).
+incrementally over the attacker-touched rows.  This is the only collection
+path a trial task takes: the engine runs every task through
+:func:`evaluate_attack` (or its defended sibling) one at a time.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -36,16 +35,6 @@ from repro.utils.rng import RngLike, child_rng, ensure_rng
 
 #: Metrics an attack can be evaluated on.
 METRICS = ("degree_centrality", "clustering_coefficient", "modularity")
-
-#: Environment variable: set to ``"0"`` to disable shared-collection reuse
-#: and run paired evaluations through two independent seed-replayed collects.
-PAIRED_COLLECTION_ENV = "REPRO_PAIRED_COLLECTION"
-
-
-def paired_collection_enabled() -> bool:
-    """Whether paired evaluations share one honest collection (default on)."""
-    return os.environ.get(PAIRED_COLLECTION_ENV, "1") != "0"
-
 
 @dataclass
 class AttackOutcome:
@@ -89,10 +78,10 @@ def metric_estimates(
     """Before/after target estimates for one paired pair of report views.
 
     The single definition of how a metric name maps onto the protocol's
-    estimator surface, shared by :func:`evaluate_attack` and the engine's
-    batched point kernel (``repro.engine.kernels``) so both paths produce
-    identical floats by construction.  Modularity is a global metric: its
-    estimates are length-1 arrays regardless of ``targets``.
+    estimator surface, shared by :func:`evaluate_attack` and
+    :func:`repro.defenses.evaluation.evaluate_defended_attack`.  Modularity
+    is a global metric: its estimates are length-1 arrays regardless of
+    ``targets``.
     """
     if metric == "degree_centrality":
         before = protocol.estimate_degree_centrality(before_reports)[targets]
@@ -143,7 +132,7 @@ def evaluate_attack(
         raise ValueError(f"attack left fake users without reports: {missing.tolist()}")
 
     protocol_seed = int(child_rng(rng, "protocol-run").integers(2**63 - 1))
-    if paired and paired_collection_enabled():
+    if paired:
         # One honest collection, shared: the after-view applies the overrides
         # to the same perturbed state the before-view exposes (bit-identical
         # to replaying the seed, without re-drawing the honest randomness).
@@ -152,11 +141,7 @@ def evaluate_attack(
         after_reports = run.after(overrides)
     else:
         before_reports = protocol.collect(graph, protocol_seed)
-        after_seed = (
-            protocol_seed
-            if paired
-            else int(child_rng(rng, "protocol-run-after").integers(2**63 - 1))
-        )
+        after_seed = int(child_rng(rng, "protocol-run-after").integers(2**63 - 1))
         after_reports = protocol.collect(graph, after_seed, overrides=overrides)
 
     before, after = metric_estimates(

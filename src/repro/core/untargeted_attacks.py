@@ -28,7 +28,6 @@ from typing import Dict
 import numpy as np
 
 from repro.core.base import Attack, ensure_attack_rng, random_new_neighbors
-from repro.core.gain import paired_collection_enabled
 from repro.core.threat_model import AttackerKnowledge, ThreatModel
 from repro.graph.adjacency import Graph
 from repro.protocols.base import FakeReport, GraphLDPProtocol
@@ -143,13 +142,9 @@ def evaluate_untargeted_attack(
     knowledge = AttackerKnowledge.from_protocol(protocol, graph)
     overrides = attack.craft(graph, threat, knowledge, rng=child_rng(rng, "attack-craft"))
     seed = int(child_rng(rng, "protocol-run").integers(2**63 - 1))
-    if paired_collection_enabled():
-        run = protocol.collect_paired(graph, seed)
-        before_reports = run.before
-        after_reports = run.after(overrides)
-    else:
-        before_reports = protocol.collect(graph, seed)
-        after_reports = protocol.collect(graph, seed, overrides=overrides)
+    run = protocol.collect_paired(graph, seed)
+    before_reports = run.before
+    after_reports = run.after(overrides)
     if metric == "degree_centrality":
         before = protocol.estimate_degree_centrality(before_reports)
         after = protocol.estimate_degree_centrality(after_reports)

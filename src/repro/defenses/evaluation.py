@@ -19,7 +19,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.base import Attack
-from repro.core.gain import METRICS, paired_collection_enabled
+from repro.core.gain import METRICS, metric_estimates
 from repro.core.threat_model import AttackerKnowledge, ThreatModel
 from repro.defenses.base import Defense, DetectionQuality, detection_quality
 from repro.graph.adjacency import Graph
@@ -78,28 +78,15 @@ def evaluate_defended_attack(
         graph, threat, knowledge, rng=child_rng(rng, "attack-craft")
     )
     protocol_seed = int(child_rng(rng, "protocol-run").integers(2**63 - 1))
-    if paired_collection_enabled():
-        # The honest collection is shared with the attacked after-run the
-        # defense post-processes — one perturbation per evaluation, exactly
-        # as in the undefended pipeline.  Repairs rebuild reports without
-        # the paired baseline, so defended estimation recomputes fully.
-        run = protocol.collect_paired(graph, protocol_seed)
-        before_reports = run.before
-        after_reports = run.after(overrides)
-    else:
-        before_reports = protocol.collect(graph, protocol_seed)
-        after_reports = protocol.collect(graph, protocol_seed, overrides=overrides)
-    defended_reports, flagged = defense.apply(after_reports)
-
-    if metric == "degree_centrality":
-        before = protocol.estimate_degree_centrality(before_reports)[threat.targets]
-        after = protocol.estimate_degree_centrality(defended_reports)[threat.targets]
-    elif metric == "clustering_coefficient":
-        before = protocol.estimate_clustering_coefficient(before_reports)[threat.targets]
-        after = protocol.estimate_clustering_coefficient(defended_reports)[threat.targets]
-    else:
-        before = np.array([protocol.estimate_modularity(before_reports, labels)])
-        after = np.array([protocol.estimate_modularity(defended_reports, labels)])
+    # The honest collection is shared with the attacked after-run the
+    # defense post-processes — one perturbation per evaluation, exactly as in
+    # the undefended pipeline.  Repairs rebuild reports without the paired
+    # baseline, so defended estimation recomputes fully.
+    run = protocol.collect_paired(graph, protocol_seed)
+    defended_reports, flagged = defense.apply(run.after(overrides))
+    before, after = metric_estimates(
+        protocol, metric, run.before, defended_reports, threat.targets, labels
+    )
 
     return DefendedOutcome(
         attack_name=attack.name,

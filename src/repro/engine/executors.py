@@ -58,7 +58,6 @@ from repro.engine.graph_store import (
     attach_labels,
 )
 from repro.engine.integrity import ensure_finite_gain
-from repro.engine.kernels import execute_tasks_grouped, point_key
 from repro.engine.registry import ATTACKS, DEFENSES, PROTOCOLS
 from repro.engine.result_store import ShardedResultStore
 from repro.engine.tasks import TrialTask
@@ -253,12 +252,10 @@ class Executor(abc.ABC):
 
 
 class SerialExecutor(Executor):
-    """Run tasks in the calling process, batching same-point trial groups.
+    """Run tasks one after another in the calling process.
 
-    Trials that share a figure point route through the cross-trial kernels
-    (:func:`repro.engine.kernels.execute_tasks_grouped`); everything else —
-    and everything when ``REPRO_BATCH_TRIALS=0`` — runs the per-task scalar
-    path.  Both produce bit-identical gains, in input order.
+    Each task goes through :func:`execute_task` on its own — one paired
+    collection per trial — and gains come back in input order.
     """
 
     def execute(
@@ -269,9 +266,11 @@ class SerialExecutor(Executor):
     ) -> List[float]:
         """Gains of ``tasks``, in input order."""
         tracer = current_tracer()
-        gains = execute_tasks_grouped(tasks, graph, labels)
-        for task, gain in zip(tasks, gains):
+        gains: List[float] = []
+        for task in tasks:
+            gain = execute_task(task, graph, labels)
             tracer.task_done(task, gain)
+            gains.append(gain)
         return gains
 
 
@@ -315,26 +314,13 @@ def _run_chunk_tasks(
     labels_handles: Dict[str, SharedLabelsHandle],
     indexed_tasks: List[Tuple[int, TrialTask]],
 ) -> List[Tuple[int, float]]:
-    """One chunk's gains, same-point trials batched through the kernels.
-
-    Chunks are built to keep each point's trials co-located
-    (:func:`_chunk_indices_by_graph`), so grouping inside the chunk sees
-    whole points; results keep the historical per-task ``(index, gain)``
-    shape and order.
-    """
-    groups: "OrderedDict[Tuple[str, str], List[int]]" = OrderedDict()
-    for position, (_, task) in enumerate(indexed_tasks):
-        groups.setdefault((task.graph_key, task.labels_key), []).append(position)
-    results: List[Optional[Tuple[int, float]]] = [None] * len(indexed_tasks)
-    for (graph_key, labels_key), positions in groups.items():
-        graph = _attached_graph(graph_handles[graph_key])
-        labels_handle = labels_handles.get(labels_key)
+    """One chunk's ``(index, gain)`` pairs, each task run by :func:`execute_task`."""
+    results = []
+    for index, task in indexed_tasks:
+        graph = _attached_graph(graph_handles[task.graph_key])
+        labels_handle = labels_handles.get(task.labels_key)
         labels = _attached_labels(labels_handle) if labels_handle is not None else None
-        gains = execute_tasks_grouped(
-            [indexed_tasks[position][1] for position in positions], graph, labels
-        )
-        for position, gain in zip(positions, gains):
-            results[position] = (indexed_tasks[position][0], gain)
+        results.append((index, execute_task(task, graph, labels)))
     return results
 
 
@@ -374,14 +360,10 @@ def _chunk_indices_by_graph(
     """Contiguous task-index chunks that never straddle a graph boundary.
 
     Tasks are grouped by ``graph_key`` (stable within a group, so cache
-    replay order is deterministic) and each group split into chunks of
-    roughly ``ceil(len(tasks) / chunk_count)`` tasks.  A chunk therefore
-    maps exactly one shared-memory graph, whatever mix of panels or
-    datasets the batch carries.  Chunk boundaries additionally align to
-    figure-point boundaries (:func:`~repro.engine.kernels.point_key`), so
-    all trials of one point land in one worker chunk and stay eligible for
-    the cross-trial batched kernels; a point larger than the target chunk
-    size becomes its own chunk.
+    replay order is deterministic) and each group split into chunks of at
+    most ``ceil(len(tasks) / chunk_count)`` tasks.  A chunk therefore maps
+    exactly one shared-memory graph, whatever mix of panels or datasets the
+    batch carries.
     """
     target = max(1, -(-len(tasks) // max(1, chunk_count)))
     groups: "OrderedDict[str, List[int]]" = OrderedDict()
@@ -389,17 +371,8 @@ def _chunk_indices_by_graph(
         groups.setdefault(task.graph_key, []).append(index)
     chunks: List[List[int]] = []
     for indices in groups.values():
-        points: "OrderedDict[tuple, List[int]]" = OrderedDict()
-        for index in indices:
-            points.setdefault(point_key(tasks[index]), []).append(index)
-        current: List[int] = []
-        for point_indices in points.values():
-            if current and len(current) + len(point_indices) > target:
-                chunks.append(current)
-                current = []
-            current.extend(point_indices)
-        if current:
-            chunks.append(current)
+        for start in range(0, len(indices), target):
+            chunks.append(indices[start : start + target])
     return chunks
 
 

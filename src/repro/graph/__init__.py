@@ -2,7 +2,6 @@
 
 from repro.graph.adjacency import Graph
 from repro.graph.bitmatrix import BitMatrix, density_threshold, should_use_packed
-from repro.graph.bittensor import BitTensor
 from repro.graph.datasets import (
     DATASETS,
     REAL_DATASETS,
@@ -45,7 +44,6 @@ from repro.graph.metrics import (
 __all__ = [
     "Graph",
     "BitMatrix",
-    "BitTensor",
     "density_threshold",
     "should_use_packed",
     "DATASETS",

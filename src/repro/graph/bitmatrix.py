@@ -95,8 +95,7 @@ def bit_index_arrays(num_nodes: int):
     """``(word_index, bit_shift)`` for extracting bit ``j`` of a packed row.
 
     Bit ``j`` lives in word ``j >> 6`` at position ``j & 63``; the arrays are
-    read-only and cached per ``n`` so repeated sweeps (one per node per
-    triangle pass, one per trial in the batched kernels) stop reallocating
+    read-only and cached per ``n`` so repeated sweeps stop reallocating
     them.
     """
     cached = _BIT_INDEX_CACHE.get(num_nodes)
@@ -172,8 +171,7 @@ def _gather_triangles(
     """Per-node triangle counts from one edge-gather/AND/popcount sweep.
 
     ``flat_rows`` is a ``(rows, words)`` packed matrix and the edge arrays
-    index into its first axis (for the trial-stacked tensor the node ids
-    carry a per-trial row offset).  Each edge contributes
+    index into its first axis.  Each edge contributes
     ``popcount(row_u & row_v)`` — its common-neighbour count — to both
     endpoints; every incident triangle of a node is hit exactly twice, once
     per far endpoint of its opposite edge, so a halving yields exact counts.
@@ -438,22 +436,6 @@ class BitMatrix:
         outside[nodes] = False
         counts[outside] = term[outside] // 2
         return counts
-
-    def row_range(self, start: int, stop: int) -> np.ndarray:
-        """Zero-copy packed view of rows ``[start, stop)``.
-
-        The unit of out-of-core transport: a block of per-user adjacency
-        bit rows, ``(stop - start) x num_words`` uint64, sized by callers to
-        honour ``REPRO_DENSE_MAX_BYTES`` (see
-        :func:`repro.graph.streaming.rows_per_block`).  Identical bits to
-        the blocks :func:`repro.graph.streaming.iter_packed_row_blocks`
-        builds without ever materializing this matrix.
-        """
-        if not 0 <= start <= stop <= self.num_nodes:
-            raise ValueError(
-                f"row range [{start}, {stop}) out of [0, {self.num_nodes}]"
-            )
-        return self.rows[start:stop]
 
     def intra_community_edges(self, labels: np.ndarray, num_communities: int) -> np.ndarray:
         """Number of edges with both endpoints in each community.

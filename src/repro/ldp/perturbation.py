@@ -18,7 +18,7 @@ calibration formulas.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -28,31 +28,6 @@ from repro.ldp.mechanisms import rr_keep_probability
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.sparse import merge_sorted_disjoint, pair_count, sample_pairs_excluding
 from repro.utils.validation import check_non_negative
-
-
-def _perturbed_codes(
-    codes: np.ndarray,
-    num_nodes: int,
-    non_edges: int,
-    keep: float,
-    generator: np.random.Generator,
-) -> np.ndarray:
-    """One randomized-response draw as sorted pair codes.
-
-    This is the single sampling core every perturbation entry point funnels
-    through, so their RNG consumption is draw-for-draw identical by
-    construction: one uniform block over the edges, one binomial for the
-    flip count, then the rejection-sampling draws of
-    :func:`~repro.utils.sparse.sample_pairs_excluding`.
-    """
-    survivors = codes[generator.random(codes.size) < keep]
-    flip_count = int(generator.binomial(non_edges, 1.0 - keep)) if non_edges > 0 else 0
-    flipped = sample_pairs_excluding(num_nodes, flip_count, codes, generator)
-    # Survivors are a sorted subset of the original codes; flipped pairs were
-    # sampled outside them.  Sorting the (smaller) flipped set and merging two
-    # disjoint sorted arrays replaces the np.unique re-sort over the full
-    # near-dense edge set the previous construction paid.
-    return merge_sorted_disjoint(survivors, np.sort(flipped))
 
 
 def perturb_graph(graph: Graph, epsilon: float, rng: RngLike = None) -> Graph:
@@ -65,37 +40,20 @@ def perturb_graph(graph: Graph, epsilon: float, rng: RngLike = None) -> Graph:
     generator = ensure_rng(rng)
     keep = rr_keep_probability(epsilon)
     n = graph.num_nodes
+
     codes = graph.edge_codes
+    survivors = codes[generator.random(codes.size) < keep]
+
     non_edges = pair_count(n) - codes.size
-    merged = _perturbed_codes(codes, n, non_edges, keep, generator)
+    flip_count = int(generator.binomial(non_edges, 1.0 - keep)) if non_edges > 0 else 0
+    flipped = sample_pairs_excluding(n, flip_count, codes, generator)
+
+    # Survivors are a sorted subset of the original codes; flipped pairs were
+    # sampled outside them.  Sorting the (smaller) flipped set and merging two
+    # disjoint sorted arrays replaces the np.unique re-sort over the full
+    # near-dense edge set the previous construction paid.
+    merged = merge_sorted_disjoint(survivors, np.sort(flipped))
     return Graph.from_codes(n, merged, assume_sorted_unique=True)
-
-
-def perturb_graph_batch(
-    graph: Graph, epsilon: float, rngs: Sequence[RngLike]
-) -> List[Graph]:
-    """Randomized response for every trial of one point, in one pass.
-
-    ``rngs`` carries one independent stream per trial (the engine derives
-    them with the exact same ``child_rng`` keys as the per-trial path).
-    Plane ``t`` of the result is **bit-identical** to
-    ``perturb_graph(graph, epsilon, rngs[t])``: each stream makes the same
-    draws in the same order — the batching hoists only the draw-free shared
-    setup (edge codes, the keep probability, the non-edge count) out of the
-    trial loop.  Because the streams are independent, evaluating them
-    back-to-back instead of interleaved with other per-trial work is a pure
-    reordering with no distributional or numerical effect.
-    """
-    keep = rr_keep_probability(epsilon)
-    n = graph.num_nodes
-    codes = graph.edge_codes
-    non_edges = pair_count(n) - codes.size
-    perturbed: List[Graph] = []
-    for rng in rngs:
-        generator = ensure_rng(rng)
-        merged = _perturbed_codes(codes, n, non_edges, keep, generator)
-        perturbed.append(Graph.from_codes(n, merged, assume_sorted_unique=True))
-    return perturbed
 
 
 def perturb_graph_stream(
@@ -116,8 +74,8 @@ def perturb_graph_stream(
     built on demand from the sorted codes and dropped when the consumer
     moves on.
 
-    RNG identity: the sampling happens **eagerly in this call** through the
-    same core as :func:`perturb_graph` — the stream consumes its generator
+    RNG identity: the sampling happens **eagerly in this call** through
+    :func:`perturb_graph` itself — the stream consumes its generator
     draw-for-draw identically to the in-memory path, and ``perturbed``
     equals ``perturb_graph(graph, epsilon, rng)`` bit for bit for any block
     height (block iteration itself draws nothing).

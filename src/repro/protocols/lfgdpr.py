@@ -22,13 +22,11 @@ only by the attacker's action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.bitmatrix import max_packed_bytes, should_use_packed
-from repro.graph.bittensor import BitTensor
 from repro.graph.metrics import (
     should_use_incremental,
     triangles_per_node_cached,
@@ -37,7 +35,7 @@ from repro.graph.metrics import (
 from repro.graph.streaming import iter_packed_row_blocks
 from repro.ldp.budget import BudgetAllocation, split_budget
 from repro.ldp.mechanisms import perturb_degree
-from repro.ldp.perturbation import perturb_graph, perturb_graph_batch
+from repro.ldp.perturbation import perturb_graph
 from repro.protocols.base import (
     CollectedReports,
     GraphLDPProtocol,
@@ -236,94 +234,6 @@ class LFGDPRProtocol(GraphLDPProtocol):
             degree_epsilon=self.budget.degree_epsilon,
         )
         return SharedGraphPairedCollection(honest)
-
-    def collect_paired_batch(
-        self,
-        graph: Graph,
-        seeds: Sequence[RngLike],
-        metric: Optional[str] = None,
-        labels: Optional[np.ndarray] = None,
-    ) -> List[SharedGraphPairedCollection]:
-        """All trials of one figure point collected through batched kernels.
-
-        Entry ``t`` of the result is bit-identical to
-        ``collect_paired(graph, seeds[t])``: every per-trial RNG stream is
-        derived with the same ``child_rng`` keys and consumed in the same
-        order, and every batched metric below is an exact-integer reordering
-        of the per-trial computation.  The batching buys three amortizations:
-
-        * :func:`perturb_graph_batch` hoists the shared perturbation setup;
-        * all planes pack into one :class:`BitTensor` accumulation, whose
-          zero-copy :meth:`~BitTensor.plane` views pre-seed each run's
-          paired cache (``"bitmatrix"``) so after-view row patches skip
-          re-packing;
-        * the honest metric intermediates the estimators would compute per
-          trial — degrees always, triangle counts for
-          ``clustering_coefficient``, intra-community counts for
-          ``modularity`` — are swept across the whole stack at once and
-          parked in the caches (``"triangles"``, ``"intra"``).
-
-        ``metric``/``labels`` only select which intermediates are worth
-        precomputing; estimates for any metric remain correct (the caches
-        are optimisation hints).  Planes failing the packed-dispatch
-        predicate — or stacks overflowing ``REPRO_DENSE_MAX_BYTES`` across
-        trials — simply skip the tensor and estimate per trial.
-        """
-        seeds = [require_replayable_seed(seed) for seed in seeds]
-        adjacency_rngs = [child_rng(seed, "lfgdpr-adjacency") for seed in seeds]
-        perturbed = perturb_graph_batch(
-            graph, self.budget.adjacency_epsilon, adjacency_rngs
-        )
-        honest_degrees = graph.degrees()
-        runs: List[SharedGraphPairedCollection] = []
-        caches: List[dict] = []
-        for seed, plane_graph in zip(seeds, perturbed):
-            noisy_degrees = perturb_degree(
-                honest_degrees,
-                self.budget.degree_epsilon,
-                rng=child_rng(seed, "lfgdpr-degree"),
-            )
-            honest = CollectedReports(
-                perturbed_graph=plane_graph,
-                reported_degrees=np.asarray(noisy_degrees, dtype=np.float64),
-                adjacency_epsilon=self.budget.adjacency_epsilon,
-                degree_epsilon=self.budget.degree_epsilon,
-            )
-            run = SharedGraphPairedCollection(honest)
-            runs.append(run)
-            caches.append(run.before.baseline.cache)
-
-        if not all(should_use_packed(plane) for plane in perturbed):
-            return runs
-        plane_bytes = graph.num_nodes * (((graph.num_nodes + 63) >> 6) << 3)
-        chunk = max(1, max_packed_bytes() // max(1, plane_bytes))
-        if labels is not None:
-            labels = np.asarray(labels, dtype=np.int64)
-            num_communities = int(labels.max()) + 1 if labels.size else 0
-        for start in range(0, len(perturbed), chunk):
-            stop = min(len(perturbed), start + chunk)
-            tensor = BitTensor.from_graphs(perturbed[start:stop])
-            degrees = tensor.degrees()
-            triangles = (
-                tensor.triangles_per_node()
-                if metric == "clustering_coefficient"
-                else None
-            )
-            intra = (
-                tensor.intra_community_edges(labels, num_communities)
-                if metric == "modularity" and labels is not None
-                else None
-            )
-            for offset in range(stop - start):
-                trial = start + offset
-                perturbed[trial]._seed_degrees(degrees[offset])
-                cache = caches[trial]
-                cache["bitmatrix"] = tensor.plane(offset)
-                if triangles is not None:
-                    cache["triangles"] = triangles[offset]
-                if intra is not None:
-                    cache["intra"] = (labels, intra[offset])
-        return runs
 
     # ------------------------------------------------------------------
     # Estimation

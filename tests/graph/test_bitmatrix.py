@@ -18,6 +18,8 @@ from repro.graph.adjacency import Graph
 from repro.graph.bitmatrix import (
     DEFAULT_DENSITY_THRESHOLD,
     BitMatrix,
+    accumulate_bits,
+    bit_index_arrays,
     density_threshold,
     should_use_packed,
 )
@@ -140,6 +142,56 @@ class TestIntraCommunityEdges:
         labels = np.array([0, 0, 1, 2, 2])
         counts = BitMatrix.from_graph(g).intra_community_edges(labels, 4)
         assert counts.tolist() == [1, 0, 0, 0]
+
+
+class TestEdgeEndpoints:
+    def test_edge_endpoints_roundtrip(self):
+        graph = erdos_renyi_graph(130, 0.25, rng=3)
+        rows, cols = BitMatrix.from_graph(graph).edge_endpoints()
+        expected_rows, expected_cols = graph.edge_arrays()
+        order = np.lexsort((cols, rows))
+        expected_order = np.lexsort((expected_cols, expected_rows))
+        assert np.array_equal(rows[order], expected_rows[expected_order])
+        assert np.array_equal(cols[order], expected_cols[expected_order])
+
+
+class TestAccumulateBits:
+    def test_matches_bitwise_or_reference(self):
+        rng = np.random.default_rng(0)
+        size = 50
+        positions = rng.permutation(np.repeat(np.arange(size), 3))[:90]
+        # make (position, bit) pairs unique
+        seen = set()
+        keep_positions, keep_bits = [], []
+        for position in positions.tolist():
+            for bit in rng.integers(0, 64, size=4).tolist():
+                if (position, bit) not in seen:
+                    seen.add((position, bit))
+                    keep_positions.append(position)
+                    keep_bits.append(bit)
+        positions = np.array(keep_positions, dtype=np.int64)
+        bits = np.array(keep_bits, dtype=np.int64)
+        reference = np.zeros(size, dtype=np.uint64)
+        np.bitwise_or.at(reference, positions, np.uint64(1) << bits.astype(np.uint64))
+        assert np.array_equal(accumulate_bits(positions, bits, size), reference)
+
+    def test_empty(self):
+        out = accumulate_bits(
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 4
+        )
+        assert np.array_equal(out, np.zeros(4, dtype=np.uint64))
+
+
+class TestBitIndexCache:
+    def test_cached_and_read_only(self):
+        first = bit_index_arrays(100)
+        second = bit_index_arrays(100)
+        assert first[0] is second[0] and first[1] is second[1]
+        assert not first[0].flags.writeable
+        assert not first[1].flags.writeable
+        word_index, bit_shift = first
+        assert word_index.tolist() == [j >> 6 for j in range(100)]
+        assert bit_shift.tolist() == [j & 63 for j in range(100)]
 
 
 class TestDispatch:

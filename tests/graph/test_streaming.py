@@ -12,7 +12,6 @@ import pytest
 from repro.engine.graph_store import GraphStore
 from repro.graph.adjacency import Graph
 from repro.graph.bitmatrix import BitMatrix
-from repro.graph.bittensor import BitTensor
 from repro.graph.metrics import triangles_per_node
 from repro.graph.streaming import (
     RowBlockBuilder,
@@ -237,26 +236,6 @@ class TestCollectBlocks:
     def test_empty_graph_yields_nothing(self):
         protocol = LFGDPRProtocol(epsilon=1.0)
         assert list(protocol.collect_blocks(Graph(0, []), rng=0)) == []
-
-
-class TestRowRangeViews:
-    def test_bitmatrix_row_range(self):
-        graph = random_graph(70, 0.4, seed=13)
-        matrix = BitMatrix.from_graph(graph)
-        view = matrix.row_range(10, 30)
-        assert view.base is matrix.rows or view.base is matrix.rows.base
-        assert np.array_equal(view, matrix.rows[10:30])
-        with pytest.raises(ValueError, match="row range"):
-            matrix.row_range(5, 71)
-
-    def test_bittensor_row_range(self):
-        graphs = [random_graph(40, 0.3, seed=s) for s in (1, 2)]
-        tensor = BitTensor.from_graphs(graphs)
-        view = tensor.row_range(4, 20)
-        assert view.shape == (2, 16, tensor.num_words)
-        assert np.array_equal(view, tensor.planes[:, 4:20, :])
-        with pytest.raises(ValueError, match="row range"):
-            tensor.row_range(-1, 5)
 
 
 class TestChunkedSharedMemory:

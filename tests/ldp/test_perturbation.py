@@ -11,7 +11,6 @@ from repro.ldp.perturbation import (
     expected_perturbed_average_degree,
     expected_perturbed_degree,
     perturb_graph,
-    perturb_graph_batch,
 )
 from repro.utils.sparse import pair_count
 
@@ -74,61 +73,6 @@ class TestPerturbGraph:
 
     def test_single_node(self):
         assert perturb_graph(Graph(1), 1.0, rng=0).num_edges == 0
-
-
-class TestPerturbGraphBatch:
-    """The batched kernel must be bit-identical, plane for plane, to the
-    scalar path: trial ``t`` of ``perturb_graph_batch(graph, eps, rngs)``
-    and ``perturb_graph(graph, eps, rng=rngs[t])`` consume the same RNG
-    stream and must produce the same edge codes.  The engine's batched
-    dispatch relies on this to reuse the scalar path's cache entries."""
-
-    @pytest.mark.parametrize("epsilon", [0.5, 1.0, 2.0, 4.0, 40.0])
-    def test_planes_bit_identical_to_scalar(self, epsilon):
-        graph = powerlaw_cluster_graph(120, 4, 0.5, rng=0)
-        seeds = [0, 1, 7, 12345]
-        batched = perturb_graph_batch(
-            graph, epsilon, [np.random.default_rng(seed) for seed in seeds]
-        )
-        assert len(batched) == len(seeds)
-        for seed, plane in zip(seeds, batched):
-            scalar = perturb_graph(graph, epsilon, rng=np.random.default_rng(seed))
-            assert np.array_equal(plane.edge_codes, scalar.edge_codes)
-            assert plane.num_nodes == scalar.num_nodes
-
-    def test_dense_graph_planes_identical(self):
-        graph = erdos_renyi_graph(150, 0.4, rng=3)
-        batched = perturb_graph_batch(
-            graph, 1.0, [np.random.default_rng(seed) for seed in (2, 9)]
-        )
-        for seed, plane in zip((2, 9), batched):
-            scalar = perturb_graph(graph, 1.0, rng=np.random.default_rng(seed))
-            assert np.array_equal(plane.edge_codes, scalar.edge_codes)
-
-    def test_empty_and_tiny_graphs(self):
-        for graph in (Graph(0), Graph(1), Graph(2), Graph(2, [(0, 1)])):
-            batched = perturb_graph_batch(
-                graph, 1.0, [np.random.default_rng(seed) for seed in (0, 1)]
-            )
-            for seed, plane in zip((0, 1), batched):
-                scalar = perturb_graph(graph, 1.0, rng=np.random.default_rng(seed))
-                assert np.array_equal(plane.edge_codes, scalar.edge_codes)
-
-    def test_single_trial(self):
-        graph = powerlaw_cluster_graph(80, 3, 0.5, rng=1)
-        (plane,) = perturb_graph_batch(graph, 2.0, [np.random.default_rng(5)])
-        scalar = perturb_graph(graph, 2.0, rng=np.random.default_rng(5))
-        assert np.array_equal(plane.edge_codes, scalar.edge_codes)
-
-    def test_int_seeds_accepted(self):
-        graph = powerlaw_cluster_graph(60, 3, 0.5, rng=2)
-        batched = perturb_graph_batch(graph, 2.0, [4, 11])
-        for seed, plane in zip((4, 11), batched):
-            scalar = perturb_graph(graph, 2.0, rng=seed)
-            assert np.array_equal(plane.edge_codes, scalar.edge_codes)
-
-    def test_no_rngs_returns_empty(self):
-        assert perturb_graph_batch(Graph(5), 1.0, []) == []
 
 
 class TestExpectedDegrees:

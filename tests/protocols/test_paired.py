@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.degree_attacks import DegreeMGA
 from repro.core.gain import evaluate_attack
-from repro.core.threat_model import ThreatModel
+from repro.core.threat_model import AttackerKnowledge, ThreatModel
 from repro.defenses.evaluation import evaluate_defended_attack
 from repro.defenses.naive import NaiveTopDegreeDefense
 from repro.graph.generators import powerlaw_cluster_graph
@@ -25,6 +25,7 @@ from repro.protocols.base import (
 )
 from repro.protocols.ldpgen import LDPGenProtocol
 from repro.protocols.lfgdpr import LFGDPRProtocol
+from repro.utils.rng import child_rng
 
 
 @pytest.fixture(scope="module")
@@ -98,11 +99,35 @@ class TestSharedCollectionBitIdentity:
             TwoRunPairedCollection(protocol, graph, np.random.default_rng(0))
 
 
+def two_run_reference(graph, protocol, attack, threat, rng):
+    """Before/after reports from two seed-replayed ``collect`` calls.
+
+    Crafts exactly as the evaluation pipeline does (same child streams), then
+    collects the honest world and, replaying the same protocol seed, the
+    attacked world with the overrides — the oracle ``collect_paired`` must
+    reproduce bit for bit.
+    """
+    knowledge = AttackerKnowledge.from_protocol(protocol, graph)
+    overrides = attack.craft(graph, threat, knowledge, rng=child_rng(rng, "attack-craft"))
+    seed = int(child_rng(rng, "protocol-run").integers(2**63 - 1))
+    before = protocol.collect(graph, seed)
+    after = protocol.collect(graph, seed, overrides=overrides)
+    return before, after
+
+
+def target_estimates(protocol, metric, reports, targets, labels=None):
+    if metric == "degree_centrality":
+        return protocol.estimate_degree_centrality(reports)[targets]
+    if metric == "clustering_coefficient":
+        return protocol.estimate_clustering_coefficient(reports)[targets]
+    return np.array([protocol.estimate_modularity(reports, labels)])
+
+
 class TestEvaluationPipelineEquivalence:
-    """The rewired evaluation matches the legacy two-collection path."""
+    """The paired evaluation matches an explicit two-collection reference."""
 
     @pytest.mark.parametrize("metric", ["degree_centrality", "clustering_coefficient", "modularity"])
-    def test_evaluate_attack_matches_legacy(self, graph, metric, monkeypatch):
+    def test_evaluate_attack_matches_legacy(self, graph, metric):
         labels = np.arange(graph.num_nodes) % 4
         threat = ThreatModel.sample(graph, 0.05, 0.05, rng=1)
         protocol = LFGDPRProtocol(epsilon=4.0)
@@ -110,13 +135,12 @@ class TestEvaluationPipelineEquivalence:
         outcome = evaluate_attack(
             graph, protocol, DegreeMGA(), threat, metric=metric, rng=11, labels=labels
         )
-        monkeypatch.setenv("REPRO_PAIRED_COLLECTION", "0")
-        legacy = evaluate_attack(
-            graph, protocol, DegreeMGA(), threat, metric=metric, rng=11, labels=labels
-        )
-        assert np.array_equal(outcome.before, legacy.before)
-        assert np.array_equal(outcome.after, legacy.after)
-        assert outcome.total_gain == legacy.total_gain
+        before, after = two_run_reference(graph, protocol, DegreeMGA(), threat, rng=11)
+        expected_before = target_estimates(protocol, metric, before, threat.targets, labels)
+        expected_after = target_estimates(protocol, metric, after, threat.targets, labels)
+        assert np.array_equal(outcome.before, expected_before)
+        assert np.array_equal(outcome.after, expected_after)
+        assert outcome.total_gain == float(np.abs(expected_after - expected_before).sum())
 
     def test_evaluate_attack_matches_legacy_across_thresholds(self, graph, monkeypatch):
         """Fallback and incremental estimation yield the same bits."""
@@ -132,35 +156,37 @@ class TestEvaluationPipelineEquivalence:
             gains.append(outcome.after.tolist())
         assert gains[0] == gains[1]
 
-    def test_defended_evaluation_matches_legacy(self, graph, monkeypatch):
+    def test_defended_evaluation_matches_legacy(self, graph):
         threat = ThreatModel.sample(graph, 0.05, 0.05, rng=3)
         protocol = LFGDPRProtocol(epsilon=4.0)
         defense = NaiveTopDegreeDefense()
+        metric = "clustering_coefficient"
         outcome = evaluate_defended_attack(
-            graph, protocol, DegreeMGA(), defense, threat,
-            metric="clustering_coefficient", rng=21,
+            graph, protocol, DegreeMGA(), defense, threat, metric=metric, rng=21,
         )
-        monkeypatch.setenv("REPRO_PAIRED_COLLECTION", "0")
-        legacy = evaluate_defended_attack(
-            graph, protocol, DegreeMGA(), defense, threat,
-            metric="clustering_coefficient", rng=21,
+        before, after = two_run_reference(graph, protocol, DegreeMGA(), threat, rng=21)
+        defended, flagged = defense.apply(after)
+        assert np.array_equal(
+            outcome.before, target_estimates(protocol, metric, before, threat.targets)
         )
-        assert np.array_equal(outcome.before, legacy.before)
-        assert np.array_equal(outcome.after_defended, legacy.after_defended)
-        assert np.array_equal(outcome.flagged, legacy.flagged)
+        assert np.array_equal(
+            outcome.after_defended,
+            target_estimates(protocol, metric, defended, threat.targets),
+        )
+        assert np.array_equal(outcome.flagged, flagged)
 
-    def test_ldpgen_evaluation_matches_legacy(self, graph, monkeypatch):
+    def test_ldpgen_evaluation_matches_legacy(self, graph):
         threat = ThreatModel.sample(graph, 0.05, 0.05, rng=4)
         protocol = LDPGenProtocol(epsilon=4.0, refined_groups=4)
-        outcome = evaluate_attack(
-            graph, protocol, DegreeMGA(), threat, metric="degree_centrality", rng=9
+        metric = "degree_centrality"
+        outcome = evaluate_attack(graph, protocol, DegreeMGA(), threat, metric=metric, rng=9)
+        before, after = two_run_reference(graph, protocol, DegreeMGA(), threat, rng=9)
+        assert np.array_equal(
+            outcome.before, target_estimates(protocol, metric, before, threat.targets)
         )
-        monkeypatch.setenv("REPRO_PAIRED_COLLECTION", "0")
-        legacy = evaluate_attack(
-            graph, protocol, DegreeMGA(), threat, metric="degree_centrality", rng=9
+        assert np.array_equal(
+            outcome.after, target_estimates(protocol, metric, after, threat.targets)
         )
-        assert np.array_equal(outcome.before, legacy.before)
-        assert np.array_equal(outcome.after, legacy.after)
 
 
 class TestAugmentCollisionRegression:
