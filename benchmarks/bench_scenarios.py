@@ -35,37 +35,52 @@ def test_scenario_sweep(benchmark, name):
         assert all(np.isfinite(g) for g in curve), series
 
 
-def test_paired_incremental_path():
-    """Paired collection on the fig09 workload takes the incremental path.
+def test_target_triangle_path():
+    """The fig09 workload counts triangles at the targets only.
 
-    Runs the fig9 scenario through the shared-collection + incremental
-    estimator pipeline and asserts the incremental triangle path was
-    actually selected (never silently falling back) on every after-run,
-    recording the wall clock as ``bench_scenarios/paired``.  Forces
-    ``jobs=1``: the delta-stats counters are process-local and would stay
-    zero if trials ran in pool workers.
+    Runs the fig9 scenario with a live tracer and asserts, from the
+    deterministic triangle counters, that no estimate swept every node
+    (``triangles.full == 0``) and that exactly the before and after views'
+    target rows were counted (``triangles.rows == 2 * sum |targets|`` over
+    the compiled tasks, the targets re-sampled here from each task's seed).
+    Records the wall clock as ``bench_scenarios/targets``.  Forces
+    ``jobs=1``: tracer counters are process-local, and pool workers' counts
+    would not reach this tracer.
     """
     import time
 
-    from repro.graph.metrics import delta_stats, reset_delta_stats
+    from repro.core.threat_model import ThreatModel
+    from repro.scenarios.compiler import compile_scenario
+    from repro.scenarios.run import load_scenario_graph
+    from repro.telemetry.core import Tracer, use_tracer
+    from repro.utils.rng import child_rng
 
     spec = get_scenario("fig9")
-    config = bench_config(spec.dataset, jobs=1)
-
-    reset_delta_stats()
-    start = time.perf_counter()
-    run_scenario(spec, config)
-    paired_seconds = time.perf_counter() - start
-    stats = delta_stats()
-
-    record_timing("bench_scenarios/paired", paired_seconds)
-    emit(
-        "paired_incremental_path",
-        f"fig09 workload ({spec.dataset}): paired {paired_seconds:.2f}s\n"
-        f"delta stats: {stats}",
+    config = bench_config(spec.dataset, jobs=1, cache=False)
+    graph = load_scenario_graph(spec, config)
+    expected_rows = 2 * sum(
+        ThreatModel.sample(
+            graph, task.beta, task.gamma, rng=child_rng(task.seed, "threat")
+        ).targets.size
+        for task in compile_scenario(spec, graph, config)
     )
-    assert stats["incremental"] > 0, "incremental estimator was never selected"
-    assert stats["fallback"] == 0, "incremental estimator silently fell back"
+
+    with use_tracer(Tracer()) as tracer:
+        start = time.perf_counter()
+        run_scenario(spec, config)
+        seconds = time.perf_counter() - start
+    counters = {
+        name: tracer.counters.get(name, 0) for name in ("triangles.full", "triangles.rows")
+    }
+
+    record_timing("bench_scenarios/targets", seconds)
+    emit(
+        "target_triangle_path",
+        f"fig09 workload ({spec.dataset}): {seconds:.2f}s\n"
+        f"triangle counters: {counters}, expected rows {expected_rows}",
+    )
+    assert counters["triangles.full"] == 0, "an estimate swept every node"
+    assert counters["triangles.rows"] == expected_rows
 
 
 def test_scenario_compile_overhead(benchmark):

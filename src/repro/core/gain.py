@@ -14,10 +14,10 @@ analysis (benchmarked in ``bench_theory_validation``).
 Paired runs flow through :meth:`GraphLDPProtocol.collect_paired`: the honest
 world is collected once and the after-world derived from the shared state —
 bit-identical to two seed-replayed ``collect`` calls, but the honest
-randomness is drawn once and the estimators can update honest estimates
-incrementally over the attacker-touched rows.  This is the only collection
-path a trial task takes: the engine runs every task through
-:func:`evaluate_attack` (or its defended sibling) one at a time.
+randomness is drawn once and the estimators can reuse honest intermediates
+(the packed honest matrix, patched by the attacker's net edits).  This is
+the only collection path a trial task takes: the engine runs every task
+through :func:`evaluate_attack` (or its defended sibling) one at a time.
 """
 
 from __future__ import annotations
@@ -81,14 +81,16 @@ def metric_estimates(
     estimator surface, shared by :func:`evaluate_attack` and
     :func:`repro.defenses.evaluation.evaluate_defended_attack`.  Modularity
     is a global metric: its estimates are length-1 arrays regardless of
-    ``targets``.
+    ``targets``.  Clustering estimates are computed at the targets only —
+    the gain reads nothing else, and the target-only estimator is
+    bit-identical to indexing the full vector.
     """
     if metric == "degree_centrality":
         before = protocol.estimate_degree_centrality(before_reports)[targets]
         after = protocol.estimate_degree_centrality(after_reports)[targets]
     elif metric == "clustering_coefficient":
-        before = protocol.estimate_clustering_coefficient(before_reports)[targets]
-        after = protocol.estimate_clustering_coefficient(after_reports)[targets]
+        before = protocol.estimate_clustering_coefficient(before_reports, nodes=targets)
+        after = protocol.estimate_clustering_coefficient(after_reports, nodes=targets)
     else:
         before = np.array([protocol.estimate_modularity(before_reports, labels)])
         after = np.array([protocol.estimate_modularity(after_reports, labels)])

@@ -81,7 +81,8 @@ def evaluate_defended_attack(
     # The honest collection is shared with the attacked after-run the
     # defense post-processes — one perturbation per evaluation, exactly as in
     # the undefended pipeline.  Repairs rebuild reports without the paired
-    # baseline, so defended estimation recomputes fully.
+    # baseline, so defended estimation counts on the repaired graph itself
+    # (at the targets only, for clustering).
     run = protocol.collect_paired(graph, protocol_seed)
     defended_reports, flagged = defense.apply(run.after(overrides))
     before, after = metric_estimates(

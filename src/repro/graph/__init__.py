@@ -1,4 +1,7 @@
-"""Graph substrate: sparse undirected graphs, metrics, generators, datasets."""
+"""Graph substrate: sparse undirected graphs, their packed and streaming
+backends, exact metrics (per-node triangle counts over every node via
+``triangles_per_node`` or over chosen nodes only via ``triangles_at``),
+generators and datasets."""
 
 from repro.graph.adjacency import Graph
 from repro.graph.bitmatrix import BitMatrix, density_threshold, should_use_packed
@@ -29,16 +32,11 @@ from repro.graph.streaming import (
 from repro.graph.metrics import (
     average_degree,
     degree_centrality,
-    delta_stats,
-    delta_threshold,
     edge_density,
     local_clustering_coefficients,
     modularity,
-    reset_delta_stats,
-    should_use_incremental,
+    triangles_at,
     triangles_per_node,
-    triangles_per_node_incremental,
-    triangles_touching,
 )
 
 __all__ = [
@@ -67,14 +65,9 @@ __all__ = [
     "streaming_triangles_per_node",
     "average_degree",
     "degree_centrality",
-    "delta_stats",
-    "delta_threshold",
     "edge_density",
     "local_clustering_coefficients",
     "modularity",
-    "reset_delta_stats",
-    "should_use_incremental",
+    "triangles_at",
     "triangles_per_node",
-    "triangles_per_node_incremental",
-    "triangles_touching",
 ]

@@ -85,8 +85,8 @@ def _row_popcounts(words: np.ndarray) -> np.ndarray:
     return _BYTE_POPCOUNT[words.view(np.uint8)].sum(axis=-1, dtype=np.int64)
 
 
-#: Cached ``(word_index, bit_shift)`` pairs per node count — every triangle
-#: or touched-row sweep needs them and they only depend on ``n``.
+#: Cached ``(word_index, bit_shift)`` pairs per node count — every row
+#: decode needs them and they only depend on ``n``.
 _BIT_INDEX_CACHE: dict = {}
 _BIT_INDEX_CACHE_LIMIT = 8
 
@@ -162,6 +162,37 @@ def _word_popcounts(words_1d: np.ndarray) -> np.ndarray:
     )
 
 
+def _pair_popcounts(flat_rows: np.ndarray, us: np.ndarray, vs: np.ndarray):
+    """Yield ``(start, pops)``: ``popcount(row_u & row_v)`` per pair, chunked.
+
+    ``flat_rows`` is a ``(rows, words)`` packed matrix and ``us``/``vs``
+    index into its first axis; ``pops`` holds the counts of pairs
+    ``start .. start + pops.size - 1`` as float64, ready for a weighted
+    bincount.  For an edge ``{u, v}`` the count is the number of common
+    neighbours — the triangles through that edge.
+
+    The sweep runs word-column-major over a transposed copy of the matrix:
+    gathering one word column per endpoint keeps both the gather sources
+    and the popcount accumulation contiguous, which beats the row-major
+    ``(pairs, words)`` gather by ~2x (the short last axis defeats the
+    vectorised reduction there) and holds only one word column of each
+    chunk at a time.  Popcount partial sums stay within the accumulator
+    dtype (``<= 64 * words ~ n``); the float64 copies are exact, every
+    value far below 2^53.
+    """
+    num_words = flat_rows.shape[1]
+    columns = np.ascontiguousarray(flat_rows.T)
+    acc_dtype = np.uint16 if num_words << 6 <= 0xFFFF else np.uint32
+    chunk = max(1, _CHUNK_WORDS // max(1, num_words))
+    for start in range(0, us.size, chunk):
+        block_u = us[start : start + chunk]
+        block_v = vs[start : start + chunk]
+        acc = np.zeros(block_u.size, dtype=acc_dtype)
+        for word in range(num_words):
+            acc += _word_popcounts(columns[word, block_u] & columns[word, block_v])
+        yield start, acc.astype(np.float64)
+
+
 def _gather_triangles(
     flat_rows: np.ndarray,
     edge_rows: np.ndarray,
@@ -170,40 +201,18 @@ def _gather_triangles(
 ) -> np.ndarray:
     """Per-node triangle counts from one edge-gather/AND/popcount sweep.
 
-    ``flat_rows`` is a ``(rows, words)`` packed matrix and the edge arrays
-    index into its first axis.  Each edge contributes
-    ``popcount(row_u & row_v)`` — its common-neighbour count — to both
-    endpoints; every incident triangle of a node is hit exactly twice, once
-    per far endpoint of its opposite edge, so a halving yields exact counts.
-
-    The sweep runs word-column-major over a transposed copy of the matrix:
-    gathering one word column per endpoint keeps both the gather sources
-    and the popcount accumulation contiguous, which beats the row-major
-    ``(edges, words)`` gather by ~2x (the short last axis defeats the
-    vectorised reduction there).  Popcount partial sums stay within the
-    accumulator dtype (``<= 64 * words ~ n``) and the per-chunk bincounts
-    accumulate them as float64 — exact, every value far below 2^53.
+    Each edge contributes its common-neighbour count
+    (:func:`_pair_popcounts`) to both endpoints; every incident triangle of
+    a node is hit exactly twice, once per far endpoint of its opposite
+    edge, so a halving yields exact counts.
     """
     counts = np.zeros(num_nodes, dtype=np.int64)
-    if edge_rows.size == 0:
-        return counts
-    num_words = flat_rows.shape[1]
-    columns = np.ascontiguousarray(flat_rows.T)
-    acc_dtype = np.uint16 if num_words << 6 <= 0xFFFF else np.uint32
-    chunk = max(1, _CHUNK_WORDS // max(1, num_words))
-    for start in range(0, edge_rows.size, chunk):
-        block_u = edge_rows[start : start + chunk]
-        block_v = edge_cols[start : start + chunk]
-        acc = np.zeros(block_u.size, dtype=acc_dtype)
-        for word in range(num_words):
-            acc += _word_popcounts(columns[word, block_u] & columns[word, block_v])
-        pops = acc.astype(np.float64)
-        counts += np.bincount(block_u, weights=pops, minlength=num_nodes).astype(
-            np.int64
-        )
-        counts += np.bincount(block_v, weights=pops, minlength=num_nodes).astype(
-            np.int64
-        )
+    for start, pops in _pair_popcounts(flat_rows, edge_rows, edge_cols):
+        stop = start + pops.size
+        for endpoints in (edge_rows[start:stop], edge_cols[start:stop]):
+            counts += np.bincount(endpoints, weights=pops, minlength=num_nodes).astype(
+                np.int64
+            )
     return counts // 2
 
 
@@ -290,31 +299,38 @@ class BitMatrix:
             return 0.0
         return self.num_edges / pairs
 
-    def edge_endpoints(self) -> tuple:
-        """Edges as aligned ``(rows, cols)`` arrays with ``rows < cols``.
+    def _row_neighbours(self, nodes: np.ndarray) -> tuple:
+        """Every set bit of the rows of ``nodes`` as ``(positions, neighbours)``.
 
-        Decoded from the packed bits in row blocks (endian-independent
-        ``word >> position`` extraction), so callers that do not already
-        hold the edge list can still drive the edge-gather kernels.
+        ``neighbours[k]`` is adjacent to ``nodes[positions[k]]``; pairs come
+        ordered by position, then by neighbour.  Decoded in row blocks of
+        ~32 MiB (endian-independent ``word >> position`` extraction), so
+        callers that do not hold the edge list can still drive the
+        edge-gather kernels.
         """
         n = self.num_nodes
+        nodes = np.asarray(nodes, dtype=np.int64)
         empty = np.empty(0, dtype=np.int64)
-        if n == 0:
+        if n == 0 or nodes.size == 0:
             return empty, empty
         word_index, bit_shift = bit_index_arrays(n)
         one = np.uint64(1)
-        block = max(1, _CHUNK_WORDS // max(1, n))
-        us, vs = [], []
-        for start in range(0, n, block):
-            stop = min(n, start + block)
-            present = (self.rows[start:stop, word_index] >> bit_shift) & one
-            block_rows, block_cols = np.nonzero(present)
-            keep = block_cols > block_rows + start
-            us.append(block_rows[keep] + start)
-            vs.append(block_cols[keep])
-        if not us:
-            return empty, empty
-        return np.concatenate(us), np.concatenate(vs)
+        block = max(1, _CHUNK_WORDS // n)
+        positions, neighbours = [], []
+        for start in range(0, nodes.size, block):
+            present = self.rows[nodes[start : start + block, None], word_index]
+            present >>= bit_shift
+            present &= one
+            block_positions, block_neighbours = np.nonzero(present)
+            positions.append(block_positions + start)
+            neighbours.append(block_neighbours)
+        return np.concatenate(positions), np.concatenate(neighbours)
+
+    def edge_endpoints(self) -> tuple:
+        """Edges as aligned ``(rows, cols)`` arrays with ``rows < cols``."""
+        rows, cols = self._row_neighbours(np.arange(self.num_nodes))
+        keep = cols > rows
+        return rows[keep], cols[keep]
 
     def triangles_per_node(self, edges: tuple | None = None) -> np.ndarray:
         """Number of triangles incident to each node.
@@ -338,6 +354,27 @@ class BitMatrix:
             edge_rows = np.asarray(edges[0], dtype=np.int64)
             edge_cols = np.asarray(edges[1], dtype=np.int64)
         return _gather_triangles(self.rows, edge_rows, edge_cols, n)
+
+    def triangles_at(self, nodes: np.ndarray) -> np.ndarray:
+        """Number of triangles incident to each of ``nodes`` (aligned).
+
+        The edge-gather of :meth:`triangles_per_node` restricted to the
+        ``(node, neighbour)`` pairs of the requested rows, accumulated onto
+        the owning node only: each incident triangle ``{u, v, w}`` of ``u``
+        is hit once through ``v`` and once through ``w``, so a halving
+        yields the exact count in ``O(sum_u d_u ceil(n/64))`` word
+        operations — a ``|nodes| / n`` fraction of the full sweep when the
+        caller reads only a few nodes' counts.
+        """
+        nodes = np.asarray(nodes, dtype=np.int64)
+        counts = np.zeros(nodes.size, dtype=np.int64)
+        positions, neighbours = self._row_neighbours(nodes)
+        for start, pops in _pair_popcounts(self.rows, nodes[positions], neighbours):
+            owners = positions[start : start + pops.size]
+            counts += np.bincount(owners, weights=pops, minlength=nodes.size).astype(
+                np.int64
+            )
+        return counts // 2
 
     def with_edits(
         self,
@@ -387,55 +424,6 @@ class BitMatrix:
             flat_rows[unique] &= ~mask
         else:
             flat_rows[unique] |= mask
-
-    def triangles_touching(self, nodes: np.ndarray) -> np.ndarray:
-        """Per-node count of triangles with at least one vertex in ``nodes``.
-
-        The building block of incremental before/after triangle counting:
-        when two graphs differ only on pairs incident to ``nodes`` (the
-        attacker-touched rows of a paired run), their full per-node triangle
-        counts differ exactly by this quantity, so the delta costs
-        ``O(sum_{s in nodes} deg(s) * ceil(n/64))`` words — a ``~2 beta``
-        fraction of a full :meth:`triangles_per_node` pass.
-
-        For ``u`` in ``nodes`` every incident triangle qualifies, so the
-        count is the plain per-row triangle count.  For ``u`` outside, each
-        touched neighbour ``s`` contributes ``|N(u) & N(s)|`` pairs where
-        ``s`` itself is the touched vertex plus ``|N(u) & N(s) \\ nodes|``
-        pairs where the third vertex is the touched one; summing and halving
-        counts every qualifying triangle exactly once.
-        """
-        n = self.num_nodes
-        counts = np.zeros(n, dtype=np.int64)
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if n == 0 or nodes.size == 0:
-            return counts
-        one = np.uint64(1)
-        mask = np.zeros(self.num_words, dtype=np.uint64)
-        np.bitwise_or.at(mask, nodes >> 6, one << (nodes & 63).astype(np.uint64))
-        word_index, bit_shift = bit_index_arrays(n)
-        # Ordered qualifying-pair counts for nodes outside the touched set.
-        term = np.zeros(n, dtype=np.int64)
-        chunk = max(1, _CHUNK_WORDS // max(self.num_words, 1))
-        for node in nodes.tolist():
-            row = self.rows[node]
-            present = (row[word_index] >> bit_shift) & one
-            neighbors = np.nonzero(present)[0]
-            if not neighbors.size:
-                continue
-            own = 0
-            for start in range(0, neighbors.size, chunk):
-                block = neighbors[start : start + chunk]
-                anded = self.rows[block] & row
-                pop_full = _row_popcounts(anded)
-                pop_touched = _row_popcounts(anded & mask)
-                own += int(pop_full.sum())
-                term[block] += 2 * pop_full - pop_touched
-            counts[node] = own // 2
-        outside = np.ones(n, dtype=bool)
-        outside[nodes] = False
-        counts[outside] = term[outside] // 2
-        return counts
 
     def intra_community_edges(self, labels: np.ndarray, num_communities: int) -> np.ndarray:
         """Number of edges with both endpoints in each community.

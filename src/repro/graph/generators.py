@@ -21,20 +21,60 @@ def _nx_seed(rng: RngLike) -> int:
     return int(ensure_rng(rng).integers(0, 2**31 - 1))
 
 
+class _Skipping:
+    """``items`` without the positions in ``skip`` (ascending), lazily.
+
+    Just the sequence protocol ``random.Random.choice`` uses — one ``len``
+    and one index — so a draw from it consumes the generator exactly like a
+    draw from the materialised filtered list, at ``O(len(skip))`` per
+    access instead of ``O(len(items))`` to build the list.
+    """
+
+    __slots__ = ("items", "skip")
+
+    def __init__(self, items: list, skip: list):
+        self.items = items
+        self.skip = skip
+
+    def __len__(self) -> int:
+        return len(self.items) - len(self.skip)
+
+    def __getitem__(self, index: int):
+        for position in self.skip:
+            if position > index:
+                break
+            index += 1
+        return self.items[index]
+
+
 def _holme_kim_edges(n: int, m: int, p: float, rand: random.Random) -> list:
     """Edge list of ``nx.powerlaw_cluster_graph(n, m, p, seed)``, replayed.
 
-    A draw-for-draw replica of the networkx Holme–Kim loop over plain
-    dict-of-dicts adjacency: the same ``rand.choice`` / ``rand.random``
-    calls in the same order, the same insertion-ordered neighbour
-    iteration, and the same ``set.pop`` target order, so the produced edge
-    set is identical for any seed.  Inlining the membership tests removes
-    the per-edge ``Graph.has_edge`` method dispatch that dominates
-    surrogate generation for high-degree datasets (~6M calls for the
-    G+ surrogate) — generation only, results unchanged.
+    A draw-for-draw replica of the networkx Holme–Kim loop: the same
+    ``rand.choice`` / ``rand.random`` calls in the same order, the same
+    insertion-ordered neighbour iteration, and the same ``set.pop`` target
+    order, so the produced edge list is identical for any seed.
+
+    Each node keeps an append-only neighbour list (networkx's insertion
+    order) plus a ``{neighbour: index}`` dict.  The clustering step draws
+    from the target's neighbours minus the source and the source's current
+    neighbours; instead of filtering the target's — possibly hub-sized —
+    neighbourhood, it looks up the at most ``m + 1`` excluded members'
+    indices and hands ``rand.choice`` a :class:`_Skipping` view, so a step
+    costs ``O(|N(source)|)`` rather than ``O(|N(target)|)``.  Generation
+    only; results unchanged.
     """
-    adjacency: dict = {node: {} for node in range(m)}
+    neighbours: list = [[] for _ in range(n)]
+    index: list = [{} for _ in range(n)]
     edges: list = []
+
+    def connect(source: int, target: int) -> None:
+        index[source][target] = len(neighbours[source])
+        neighbours[source].append(target)
+        index[target][source] = len(neighbours[target])
+        neighbours[target].append(source)
+        edges.append((source, target))
+
     repeated_nodes = list(range(m))
     source = m
     while source < n:
@@ -44,36 +84,32 @@ def _holme_kim_edges(n: int, m: int, p: float, rand: random.Random) -> list:
         targets: set = set()
         while len(targets) < m:
             targets.add(rand.choice(repeated_nodes))
-        source_adjacency = adjacency.setdefault(source, {})
+        source_index = index[source]
         target = targets.pop()
-        if target not in source_adjacency:
-            source_adjacency[target] = None
-            adjacency.setdefault(target, {})[source] = None
-            edges.append((source, target))
+        if target not in source_index:
+            connect(source, target)
         repeated_nodes.append(target)
         count = 1
         while count < m:
             if rand.random() < p:  # clustering step: try to close a triangle
-                neighborhood = [
-                    nbr
-                    for nbr in adjacency[target]
-                    if nbr not in source_adjacency and nbr != source
-                ]
-                if neighborhood:
-                    nbr = rand.choice(neighborhood)
-                    source_adjacency[nbr] = None
-                    adjacency[nbr][source] = None
-                    edges.append((source, nbr))
+                target_index = index[target]
+                skip = sorted(
+                    target_index[nbr]
+                    for nbr in (*source_index, source)
+                    if nbr in target_index
+                )
+                candidates = _Skipping(neighbours[target], skip)
+                if len(candidates):
+                    nbr = rand.choice(candidates)
+                    connect(source, nbr)
                     repeated_nodes.append(nbr)
                     count += 1
                     continue
             # preferential attachment step (may re-add an existing edge,
             # which networkx silently keeps — the repeat weight still lands)
             target = targets.pop()
-            if target not in source_adjacency:
-                source_adjacency[target] = None
-                adjacency.setdefault(target, {})[source] = None
-                edges.append((source, target))
+            if target not in source_index:
+                connect(source, target)
             repeated_nodes.append(target)
             count += 1
         repeated_nodes.extend([source] * m)

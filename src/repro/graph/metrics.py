@@ -8,8 +8,7 @@ and Newman modularity.  All operate on :class:`repro.graph.Graph`.
 
 from __future__ import annotations
 
-import os
-from typing import MutableMapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -17,50 +16,7 @@ from repro.graph.adjacency import Graph
 from repro.graph.bitmatrix import BitMatrix, should_use_packed
 from repro.graph.streaming import should_stream, streaming_triangles_per_node
 from repro.telemetry.core import current_tracer
-from repro.utils.sparse import decode_pairs, pair_count
-
-#: Touched-row fraction above which incremental before/after estimation loses
-#: to a full recompute (the delta pass costs ~4x the touched fraction of a
-#: full pass, so the theoretical crossover sits near 0.25).
-DEFAULT_DELTA_THRESHOLD = 0.25
-
-#: Environment variable overriding :data:`DEFAULT_DELTA_THRESHOLD`.
-DELTA_THRESHOLD_ENV = "REPRO_DELTA_THRESHOLD"
-
-
-def delta_threshold() -> float:
-    """The touched-row fraction crossover for incremental estimation."""
-    return float(os.environ.get(DELTA_THRESHOLD_ENV, DEFAULT_DELTA_THRESHOLD))
-
-
-def should_use_incremental(num_nodes: int, touched_count: int) -> bool:
-    """Whether a paired after-run with ``touched_count`` changed rows should
-    be estimated incrementally rather than from scratch.
-
-    Pure predicate (no side effects); both paths are exact, so this only
-    affects speed, never results.
-    """
-    if num_nodes < 3 or touched_count == 0:
-        return False
-    return touched_count <= delta_threshold() * num_nodes
-
-
-#: Counters tracking how paired after-run triangle estimations were served.
-#: ``incremental`` = delta path taken, ``fallback`` = full recompute because
-#: the touched fraction crossed :func:`delta_threshold`.  Used by benchmarks
-#: and the CI smoke job to assert the fast path is actually selected.
-_DELTA_STATS = {"incremental": 0, "fallback": 0}
-
-
-def delta_stats() -> dict:
-    """A snapshot of the incremental-vs-fallback decision counters."""
-    return dict(_DELTA_STATS)
-
-
-def reset_delta_stats() -> None:
-    """Zero the decision counters (call before a measured workload)."""
-    for key in _DELTA_STATS:
-        _DELTA_STATS[key] = 0
+from repro.utils.sparse import pair_count
 
 
 def degree_centrality(graph: Graph) -> np.ndarray:
@@ -88,7 +44,12 @@ def triangles_per_node(graph: Graph) -> np.ndarray:
     graphs go via ``diag(A @ A @ A) / 2`` on scipy CSR matrices.  All three
     backends produce exact integer counts, so the dispatch never changes a
     result.
+
+    Every call is one full sweep, counted by the ``triangles.full`` tracer
+    counter; callers that read only a few nodes' counts use
+    :func:`triangles_at` instead.
     """
+    current_tracer().counter("triangles.full")
     n = graph.num_nodes
     if n == 0:
         return np.zeros(0, dtype=np.int64)
@@ -97,6 +58,29 @@ def triangles_per_node(graph: Graph) -> np.ndarray:
     if should_stream(graph):
         return streaming_triangles_per_node(graph)
     return _triangles_sparse(graph)
+
+
+def triangles_at(
+    graph: Graph, nodes: np.ndarray, packed: Optional[BitMatrix] = None
+) -> np.ndarray:
+    """Triangles incident to each of ``nodes`` only (aligned with ``nodes``).
+
+    Equal to ``triangles_per_node(graph)[nodes]`` — exact integers — at the
+    cost of the requested rows alone: packed graphs run
+    :meth:`BitMatrix.triangles_at`, the rest a sparse matmul restricted to
+    the requested rows.  ``packed`` optionally supplies ``graph`` already
+    packed (the paired-run honest matrix, or its patched after-view).  The
+    ``triangles.rows`` tracer counter accumulates the rows counted.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    current_tracer().counter("triangles.rows", nodes.size)
+    if nodes.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if packed is None and should_use_packed(graph):
+        packed = BitMatrix.from_graph(graph)
+    if packed is not None:
+        return packed.triangles_at(nodes)
+    return _triangles_at_sparse(graph, nodes)
 
 
 def _triangles_packed(graph: Graph) -> np.ndarray:
@@ -117,137 +101,16 @@ def _triangles_sparse(graph: Graph) -> np.ndarray:
     return closed_walks // 2
 
 
-def triangles_per_node_cached(graph: Graph, cache: MutableMapping) -> np.ndarray:
-    """:func:`triangles_per_node` that parks its intermediates in ``cache``.
-
-    Paired before/after evaluation calls this on the shared honest graph:
-    the counts land under ``"triangles"`` and, on the packed path, the
-    :class:`BitMatrix` under ``"bitmatrix"`` — both reused verbatim by
-    :func:`triangles_per_node_incremental` so the honest graph is packed and
-    counted exactly once per paired run.
-    """
-    triangles = cache.get("triangles")
-    if triangles is None:
-        if should_use_packed(graph):
-            edges = graph.edge_arrays()
-            packed = BitMatrix.from_edge_arrays(graph.num_nodes, *edges)
-            cache["bitmatrix"] = packed
-            triangles = packed.triangles_per_node(edges=edges)
-        else:
-            triangles = triangles_per_node(graph)
-        cache["triangles"] = triangles
-    return triangles
-
-
-def triangles_touching(graph: Graph, nodes: np.ndarray) -> np.ndarray:
-    """Per-node count of triangles with at least one vertex in ``nodes``.
-
-    Density-adaptive like :func:`triangles_per_node` (packed row-AND +
-    popcount vs sparse matmul restricted to the touched rows); both backends
-    return the same exact integers.
-    """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    if graph.num_nodes == 0 or nodes.size == 0:
-        return np.zeros(graph.num_nodes, dtype=np.int64)
-    if should_use_packed(graph):
-        return BitMatrix.from_graph(graph).triangles_touching(nodes)
-    return _triangles_touching_sparse(graph, nodes)
-
-
-def _triangles_touching_sparse(graph: Graph, nodes: np.ndarray) -> np.ndarray:
-    """Sparse backend of :func:`triangles_touching`.
-
-    Neighbour-set intersections restricted to the touched rows, phrased as
-    sparse matmuls: ``P = A[S] @ A`` holds ``|N(s) & N(u)|`` for touched
-    ``s`` and ``Q = A[S][:, S] @ A[S]`` the same intersection restricted to
-    touched third vertices.  A touched node's count is its plain triangle
-    count; an untouched node ``u`` collects, per touched neighbour ``s``,
-    ``2 |N(u) & N(s)| - |N(u) & N(s) & S|`` ordered qualifying pairs, and a
-    halving yields the exact count.
-    """
-    n = graph.num_nodes
-    counts = np.zeros(n, dtype=np.int64)
+def _triangles_at_sparse(graph: Graph, nodes: np.ndarray) -> np.ndarray:
+    """Sparse backend of :func:`triangles_at`: ``A[S] @ A`` counts the
+    2-paths from each requested node, and masking them by ``A[S]`` keeps the
+    closed ones — two per incident triangle."""
     if graph.num_edges == 0:
-        return counts
+        return np.zeros(nodes.size, dtype=np.int64)
     adjacency = graph.csr().astype(np.int64)
-    touched_rows = adjacency[nodes]
-    paths = touched_rows @ adjacency
-    own = touched_rows.multiply(paths)
-    counts[nodes] = np.asarray(own.sum(axis=1)).ravel() // 2
-    restricted = touched_rows[:, nodes] @ touched_rows
-    term = np.asarray(
-        touched_rows.multiply(2 * paths - restricted).sum(axis=0)
-    ).ravel()
-    outside = np.ones(n, dtype=bool)
-    outside[nodes] = False
-    counts[outside] = term[outside] // 2
-    return counts
-
-
-def triangles_per_node_incremental(
-    before: Graph,
-    after: Graph,
-    touched: np.ndarray,
-    before_triangles: np.ndarray,
-    *,
-    cache: Optional[MutableMapping] = None,
-    added_codes: Optional[np.ndarray] = None,
-    removed_codes: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Triangle counts of ``after`` from those of ``before``, incrementally.
-
-    Contract: ``after`` differs from ``before`` only on pairs incident to
-    the ``touched`` nodes (the paired-run invariant — attack overrides only
-    rewrite pairs incident to overridden users).  Every triangle gained or
-    lost therefore has a vertex in ``touched``, so
-
-    ``tau(after) = tau(before) - touching(before) + touching(after)``
-
-    with :func:`triangles_touching` restricted to the touched rows.  All
-    three terms are exact integers, making the result bit-identical to a
-    full recompute; when the touched fraction exceeds
-    :func:`delta_threshold` (``REPRO_DELTA_THRESHOLD``) the delta pass would
-    cost more than it saves and the function falls back to
-    :func:`triangles_per_node` on ``after``.  The decision is recorded in
-    :func:`delta_stats`.
-
-    ``cache`` (optional) carries the honest graph's packed matrix across
-    calls; ``added_codes``/``removed_codes`` (optional, net sorted pair
-    codes) let the packed path patch the before matrix's rows instead of
-    re-packing ``after`` from scratch.
-    """
-    touched = np.asarray(touched, dtype=np.int64)
-    n = before.num_nodes
-    if touched.size == 0:
-        return before_triangles
-    if not should_use_incremental(n, touched.size):
-        _DELTA_STATS["fallback"] += 1
-        current_tracer().counter("delta.fallback")
-        return triangles_per_node(after)
-    _DELTA_STATS["incremental"] += 1
-    current_tracer().counter("delta.incremental")
-    if should_use_packed(before):
-        packed_before = cache.get("bitmatrix") if cache is not None else None
-        if packed_before is None:
-            packed_before = BitMatrix.from_graph(before)
-            if cache is not None:
-                cache["bitmatrix"] = packed_before
-        if added_codes is not None and removed_codes is not None:
-            add_rows, add_cols = decode_pairs(added_codes, n)
-            drop_rows, drop_cols = decode_pairs(removed_codes, n)
-            packed_after = packed_before.with_edits(add_rows, add_cols, drop_rows, drop_cols)
-        else:
-            packed_after = BitMatrix.from_graph(after)
-        return (
-            before_triangles
-            - packed_before.triangles_touching(touched)
-            + packed_after.triangles_touching(touched)
-        )
-    return (
-        before_triangles
-        - _triangles_touching_sparse(before, touched)
-        + _triangles_touching_sparse(after, touched)
-    )
+    rows = adjacency[nodes]
+    closed_walks = np.asarray(rows.multiply(rows @ adjacency).sum(axis=1)).ravel()
+    return closed_walks // 2
 
 
 def local_clustering_coefficients(graph: Graph) -> np.ndarray:

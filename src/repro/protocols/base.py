@@ -19,9 +19,15 @@ state once and manufactures after-views by applying overrides to that shared
 state; the result is bit-identical to two ``collect`` calls with the same
 seed by construction.  After-views of pair-level protocols additionally carry
 a :class:`PairedBaseline` naming the honest reports, the touched rows and the
-net edge changes, which lets estimators update the honest estimates
-incrementally instead of recomputing from scratch (see
-``repro.graph.metrics.triangles_per_node_incremental``).
+net edge changes, which lets estimators derive the after-view's intermediates
+from the honest ones instead of rebuilding them — the packed honest matrix
+patched by the net edits, or the honest intra-community counts shifted by
+them.
+
+Target-only estimation: the gain of Eqs. (4)–(5) reads estimates at the
+targets alone, so ``estimate_clustering_coefficient`` takes the node ids it
+must answer for and counts triangles at those rows only
+(``repro.graph.metrics.triangles_at``).
 """
 
 from __future__ import annotations
@@ -95,17 +101,21 @@ class PairedBaseline:
 
     Attached to the :class:`CollectedReports` of a
     :meth:`GraphLDPProtocol.collect_paired` run.  For the honest view itself
-    ``honest`` is the carrying reports object and ``touched`` is empty; for
-    an after-view ``touched`` names the rows the overrides may have changed.
+    ``honest`` is ``None`` and ``touched`` is empty; for an after-view
+    ``honest`` is the shared honest reports and ``touched`` names the rows
+    the overrides may have changed.
     Estimators treat this as an *optimisation hint only*: every quantity
     derived through it must be bit-identical to a from-scratch computation
-    on the carrying reports, and ``touched=None`` (changes not localisable,
-    e.g. LDPGen's regenerated synthetic graph) mandates a full recompute.
+    on the carrying reports, and missing ``added_codes``/``removed_codes``
+    (changes not tracked) mandate a full recompute.
 
     Attributes
     ----------
     honest:
-        The shared honest reports (the before-world view).
+        The shared honest reports (the before-world view); ``None`` on that
+        view itself, so it never references itself — a reference cycle
+        would keep every trial's perturbed graph and packed matrix alive
+        until the cyclic garbage collector happens to run.
     touched:
         Sorted ids of users whose adjacency rows may differ from the honest
         graph — a vertex cover of every changed pair.  ``None`` = unknown.
@@ -113,11 +123,11 @@ class PairedBaseline:
         Net sorted pair codes of edges present only in this view / only in
         the honest graph.  ``None`` when not tracked.
     cache:
-        Scratch shared by all views of one paired run (honest triangle
-        counts, the packed honest matrix, intra-community counts, ...).
+        Scratch shared by all views of one paired run (the packed honest
+        matrix, the honest intra-community counts, ...).
     """
 
-    honest: "CollectedReports"
+    honest: Optional["CollectedReports"]
     touched: Optional[np.ndarray]
     added_codes: Optional[np.ndarray] = None
     removed_codes: Optional[np.ndarray] = None
@@ -152,9 +162,10 @@ class CollectedReports:
     baseline:
         Present only on the views of a paired run
         (:meth:`GraphLDPProtocol.collect_paired`): the shared honest state
-        and the localisation of this view's changes, enabling incremental
-        estimation.  Never part of equality or the server's knowledge model;
-        defenses drop it when they rebuild reports.
+        and the localisation of this view's changes, letting estimators
+        reuse the honest intermediates.  Never part of equality or the
+        server's knowledge model; defenses drop it when they rebuild
+        reports.
     """
 
     perturbed_graph: Graph
@@ -213,8 +224,15 @@ class GraphLDPProtocol(abc.ABC):
         """Per-node degree-centrality estimates (Eq. 8 on estimated degrees)."""
 
     @abc.abstractmethod
-    def estimate_clustering_coefficient(self, reports: CollectedReports) -> np.ndarray:
-        """Per-node clustering-coefficient estimates (Eqs. 15–17)."""
+    def estimate_clustering_coefficient(
+        self, reports: CollectedReports, nodes: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Clustering-coefficient estimates (Eqs. 15–17).
+
+        Every node's estimate by default; with ``nodes``, the estimates of
+        those nodes only, aligned with ``nodes`` and bit-identical to the
+        full vector indexed by them.
+        """
 
     @abc.abstractmethod
     def estimate_modularity(self, reports: CollectedReports, labels: np.ndarray) -> float:
@@ -257,7 +275,7 @@ def apply_overrides_tracked(
     Returns ``(graph, overridden, added_codes, removed_codes)`` where the
     code arrays are the sorted pair codes present only in the result /
     only in ``perturbed``.  Both are incident to ``overridden`` by
-    construction — the localisation guarantee incremental estimators need.
+    construction — the localisation guarantee paired estimation relies on.
     """
     if not overrides:
         empty = np.empty(0, dtype=np.int64)
@@ -414,16 +432,18 @@ class SharedGraphPairedCollection(PairedCollection):
     that state and the overrides (:func:`apply_overrides` +
     :func:`apply_degree_overrides`).  Every view carries a
     :class:`PairedBaseline`, so estimators can reuse honest intermediates
-    and update them incrementally; the after-graph's degree array is seeded
-    from the honest degrees plus the net edge changes (exact integers, so
-    downstream estimates stay bit-identical while skipping the O(E)
-    recount).
+    and patch them by the net edge changes instead of rebuilding them (the
+    packed honest matrix for triangle counts at the targets, the honest
+    intra-community counts for modularity); the after-graph's degree array
+    is seeded from the honest degrees plus the net edge changes (exact
+    integers, so downstream estimates stay bit-identical while skipping the
+    O(E) recount).
     """
 
     def __init__(self, honest: CollectedReports):
         self._cache: dict = {}
         honest.baseline = PairedBaseline(
-            honest=honest,
+            honest=None,
             touched=np.empty(0, dtype=np.int64),
             added_codes=np.empty(0, dtype=np.int64),
             removed_codes=np.empty(0, dtype=np.int64),

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.graph.adjacency import Graph
 from repro.graph.bitmatrix import BitMatrix, should_use_packed
-from repro.graph.metrics import edge_density, triangles_per_node
+from repro.graph.metrics import edge_density, triangles_at, triangles_per_node
 from repro.graph.streaming import should_stream, streaming_intra_community_edges
 from repro.ldp.mechanisms import calibrate_bit_counts, rr_keep_probability
 from repro.utils.validation import check_positive
@@ -146,6 +146,7 @@ def estimate_clustering_coefficients(
     clip: bool = True,
     degree_plugin: str = "perturbed",
     observed_triangles: np.ndarray | None = None,
+    nodes: np.ndarray | None = None,
 ) -> np.ndarray:
     """Clustering-coefficient estimates from the perturbed graph (Eq. 15).
 
@@ -162,30 +163,42 @@ def estimate_clustering_coefficients(
     * ``"calibrated"`` — unbiased true-degree estimates from the perturbed
       rows; a strictly better estimator, kept as an ablation (DESIGN.md §6).
 
-    ``observed_triangles`` optionally supplies the per-node triangle counts
-    of ``perturbed`` (exact integers), skipping the dominant
-    :func:`triangles_per_node` pass — the hook paired incremental
-    evaluation uses.  The counts must equal what a recount would produce;
-    every downstream float operation is then identical.
+    ``nodes`` restricts the estimate to those node ids (the result is
+    aligned with ``nodes``).  ``cc_i`` depends only on ``tau~_i``, ``d_i``,
+    N, epsilon and the global density, and every step after the density is
+    elementwise, so the result equals the full vector indexed by ``nodes``
+    bit for bit — while triangles are counted at ``nodes`` alone
+    (:func:`repro.graph.metrics.triangles_at`).
+
+    ``observed_triangles`` optionally supplies the exact triangle counts of
+    ``perturbed`` at ``nodes`` (at every node when ``nodes`` is ``None``),
+    skipping the dominant triangle pass — the hook paired evaluation uses to
+    count on its cached packed matrix.  The counts must equal what a
+    recount would produce; every downstream float operation is then
+    identical.
     """
     if degree_plugin not in ("perturbed", "calibrated"):
         raise ValueError(
             f"degree_plugin must be 'perturbed' or 'calibrated', got {degree_plugin!r}"
         )
     if observed_triangles is None:
-        observed_triangles = triangles_per_node(perturbed)
+        observed_triangles = (
+            triangles_per_node(perturbed) if nodes is None else triangles_at(perturbed, nodes)
+        )
     observed = np.asarray(observed_triangles).astype(np.float64)
     if degree_plugin == "perturbed":
         degrees = perturbed.degrees().astype(np.float64)
     else:
         degrees = degrees_from_perturbed_graph(perturbed, epsilon)
         degrees = np.clip(degrees, 0.0, perturbed.num_nodes - 1.0)
+    if nodes is not None:
+        degrees = degrees[nodes]
     density = edge_density(perturbed)
     corrected = triangle_calibration(
         observed, degrees, perturbed.num_nodes, epsilon, density
     )
     denominator = degrees * (degrees - 1.0)
-    estimates = np.zeros(perturbed.num_nodes, dtype=np.float64)
+    estimates = np.zeros(degrees.size, dtype=np.float64)
     valid = denominator > 0
     estimates[valid] = 2.0 * corrected[valid] / denominator[valid]
     if clip:
@@ -226,7 +239,7 @@ def estimate_modularity(
     calibrated per community (the number of intra pairs is known from the
     partition); total edge mass comes from the fused degree estimates.
     ``observed_intra`` optionally supplies the exact intra counts (the
-    paired incremental hook, mirroring ``observed_triangles`` above).
+    paired-run hook, mirroring ``observed_triangles`` above).
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = perturbed.num_nodes

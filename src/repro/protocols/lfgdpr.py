@@ -21,17 +21,15 @@ only by the attacker's action.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.metrics import (
-    should_use_incremental,
-    triangles_per_node_cached,
-    triangles_per_node_incremental,
-)
+from repro.graph.bitmatrix import BitMatrix, should_use_packed
+from repro.graph.metrics import triangles_at
 from repro.graph.streaming import iter_packed_row_blocks
 from repro.ldp.budget import BudgetAllocation, split_budget
 from repro.ldp.mechanisms import perturb_degree
@@ -262,34 +260,48 @@ class LFGDPRProtocol(GraphLDPProtocol):
             return np.zeros(n, dtype=np.float64)
         return self.estimate_degrees(reports) / (n - 1)
 
-    def estimate_clustering_coefficient(self, reports: CollectedReports) -> np.ndarray:
+    def estimate_clustering_coefficient(
+        self, reports: CollectedReports, nodes: np.ndarray | None = None
+    ) -> np.ndarray:
         """Clustering-coefficient estimates via the triangle calibration.
+
+        ``nodes`` restricts the estimate to those users (aligned with
+        ``nodes``, bit-identical to the full vector indexed by them) and
+        counts triangles at their rows only; on a paired-run view the count
+        runs on the shared packed honest matrix, patched for an after-view
+        (:meth:`_paired_matrix`).
 
         When a defense excluded users, estimation runs on the induced
         subgraph of the remaining users (with its own N and edge density) —
         treating removed rows as all-zero bits of the full graph would bias
         every correction term of Eq. 16.  Excluded users estimate to 0.
         """
-        excluded = np.asarray(reports.excluded, dtype=np.int64)
-        if excluded.size == 0:
-            return estimate_clustering_coefficients(
-                reports.perturbed_graph,
-                reports.adjacency_epsilon,
-                clip=self.clip_clustering,
-                degree_plugin=self.clustering_degree_plugin,
-                observed_triangles=self._paired_triangles(reports),
-            )
-        n = reports.num_nodes
-        kept = np.setdiff1d(np.arange(n), excluded)
-        subgraph = reports.perturbed_graph.subgraph(kept)
-        sub_estimates = estimate_clustering_coefficients(
-            subgraph,
-            reports.adjacency_epsilon,
+        estimate = functools.partial(
+            estimate_clustering_coefficients,
+            epsilon=reports.adjacency_epsilon,
             clip=self.clip_clustering,
             degree_plugin=self.clustering_degree_plugin,
         )
-        estimates = np.zeros(n, dtype=np.float64)
-        estimates[kept] = sub_estimates
+        graph = reports.perturbed_graph
+        excluded = np.asarray(reports.excluded, dtype=np.int64)
+        if excluded.size == 0:
+            if nodes is None:
+                return estimate(graph)
+            observed = triangles_at(graph, nodes, packed=self._paired_matrix(reports))
+            return estimate(graph, observed_triangles=observed, nodes=nodes)
+        n = reports.num_nodes
+        kept_mask = np.ones(n, dtype=bool)
+        kept_mask[excluded] = False
+        kept = np.flatnonzero(kept_mask)
+        subgraph = graph.subgraph(kept)
+        if nodes is None:
+            estimates = np.zeros(n, dtype=np.float64)
+            estimates[kept] = estimate(subgraph)
+            return estimates
+        nodes = np.asarray(nodes, dtype=np.int64)
+        estimates = np.zeros(nodes.size, dtype=np.float64)
+        inside = kept_mask[nodes]
+        estimates[inside] = estimate(subgraph, nodes=np.searchsorted(kept, nodes[inside]))
         return estimates
 
     def estimate_modularity(self, reports: CollectedReports, labels: np.ndarray) -> float:
@@ -303,35 +315,36 @@ class LFGDPRProtocol(GraphLDPProtocol):
         )
 
     # ------------------------------------------------------------------
-    # Incremental paired-run estimation
+    # Paired-run estimation
     # ------------------------------------------------------------------
-    def _paired_triangles(self, reports: CollectedReports) -> np.ndarray | None:
-        """Perturbed-graph triangle counts via the paired baseline, if any.
+    def _paired_matrix(self, reports: CollectedReports) -> BitMatrix | None:
+        """The packed perturbed matrix of a paired-run view, if worth having.
 
-        Honest view: computed once and cached on the shared run.  After
-        view: the honest counts are updated over the touched rows only
-        (exact integers, bit-identical to a full recount — see
-        :func:`repro.graph.metrics.triangles_per_node_incremental`), falling
-        back to a full recount past ``REPRO_DELTA_THRESHOLD``.  Returns
-        ``None`` when the reports carry no usable baseline, letting the
-        caller recompute from scratch.
+        Honest view: packed once and cached on the shared run.  After view:
+        the honest matrix patched by :meth:`BitMatrix.with_edits` with the
+        net added/removed pair codes — exactly the packing of the after
+        graph, without re-packing its ``E`` edges.  ``None`` when the
+        reports carry no baseline or the honest graph is too sparse (or too
+        large) for the packed backend, letting :func:`triangles_at` dispatch
+        on the view's own graph.
         """
         base = reports.baseline
         if base is None:
             return None
-        honest_graph = base.honest.perturbed_graph
-        if reports is base.honest:
-            return triangles_per_node_cached(honest_graph, base.cache)
-        if base.touched is None:
+        honest_graph = (base.honest or reports).perturbed_graph
+        if not should_use_packed(honest_graph):
             return None
-        return triangles_per_node_incremental(
-            honest_graph,
-            reports.perturbed_graph,
-            base.touched,
-            triangles_per_node_cached(honest_graph, base.cache),
-            cache=base.cache,
-            added_codes=base.added_codes,
-            removed_codes=base.removed_codes,
+        honest = base.cache.get("bitmatrix")
+        if honest is None:
+            honest = BitMatrix.from_graph(honest_graph)
+            base.cache["bitmatrix"] = honest
+        if base.honest is None:
+            return honest
+        if base.added_codes is None or base.removed_codes is None:
+            return None
+        n = reports.num_nodes
+        return honest.with_edits(
+            *decode_pairs(base.added_codes, n), *decode_pairs(base.removed_codes, n)
         )
 
     def _paired_intra(self, reports: CollectedReports, labels: np.ndarray) -> np.ndarray | None:
@@ -350,16 +363,14 @@ class LFGDPRProtocol(GraphLDPProtocol):
         cached = base.cache.get("intra")
         if cached is None or not np.array_equal(cached[0], labels):
             honest_counts = observed_intra_community_edges(
-                base.honest.perturbed_graph, labels, num_communities
+                (base.honest or reports).perturbed_graph, labels, num_communities
             )
             base.cache["intra"] = (labels, honest_counts)
         else:
             honest_counts = cached[1]
-        if reports is base.honest:
+        if base.honest is None:
             return honest_counts
-        if base.touched is None or base.added_codes is None or base.removed_codes is None:
-            return None
-        if not should_use_incremental(n, base.touched.size):
+        if base.added_codes is None or base.removed_codes is None:
             return None
         counts = np.array(honest_counts, copy=True)
         for codes, sign in ((base.added_codes, 1), (base.removed_codes, -1)):

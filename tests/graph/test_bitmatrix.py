@@ -24,9 +24,18 @@ from repro.graph.bitmatrix import (
     should_use_packed,
 )
 from repro.graph.generators import erdos_renyi_graph, powerlaw_cluster_graph
-from repro.graph.metrics import edge_density, triangles_per_node
+from repro.graph.metrics import edge_density, triangles_at, triangles_per_node
 from repro.ldp.perturbation import perturb_graph
-from repro.utils.sparse import pair_count
+from repro.utils.sparse import decode_pairs, pair_count
+
+
+def networkx_triangles(graph: Graph) -> np.ndarray:
+    counts = nx.triangles(graph.to_networkx())
+    return np.array([counts[node] for node in range(graph.num_nodes)], dtype=np.int64)
+
+
+#: ``REPRO_DENSE_THRESHOLD`` values forcing the packed / the sparse backend.
+BACKENDS = {"packed": "0", "sparse": "1.1"}
 
 
 class TestPacking:
@@ -124,6 +133,8 @@ def test_chunked_popcount_passes_match_single_pass(monkeypatch):
     expected_intra = reference.intra_community_edges(labels, 3)
     monkeypatch.setattr(bitmatrix, "_CHUNK_WORDS", 4)  # force many tiny chunks
     assert np.array_equal(reference.triangles_per_node(), expected_triangles)
+    nodes = np.array([3, 0, 99, 41, 3])
+    assert np.array_equal(reference.triangles_at(nodes), expected_triangles[nodes])
     assert np.array_equal(reference.intra_community_edges(labels, 3), expected_intra)
 
 
@@ -247,3 +258,103 @@ class TestDispatch:
     def test_tiny_graphs_stay_sparse(self):
         assert not should_use_packed(Graph(2, [(0, 1)]))
         assert not should_use_packed(Graph(0))
+
+
+class TestTrianglesAt:
+    """``triangles_at`` against networkx, on both backends."""
+
+    @pytest.fixture(params=sorted(BACKENDS))
+    def backend(self, request, monkeypatch):
+        monkeypatch.setenv("REPRO_DENSE_THRESHOLD", BACKENDS[request.param])
+        return request.param
+
+    @pytest.mark.parametrize("n,density,seed", [
+        (40, 0.02, 0), (60, 0.15, 1), (70, 0.5, 2), (130, 0.3, 3), (90, 0.9, 4),
+    ])
+    def test_matches_networkx(self, backend, n, density, seed):
+        graph = erdos_renyi_graph(n, density, rng=seed)
+        assert should_use_packed(graph) == (backend == "packed")
+        nodes = np.random.default_rng(seed).choice(n, size=n // 4, replace=False)
+        assert np.array_equal(triangles_at(graph, nodes), networkx_triangles(graph)[nodes])
+
+    def test_all_nodes_equal_full_sweep(self, backend):
+        graph = powerlaw_cluster_graph(150, 4, 0.6, rng=5)
+        everyone = np.arange(graph.num_nodes)
+        assert np.array_equal(triangles_at(graph, everyone), triangles_per_node(graph))
+
+    def test_empty_nodes(self, backend):
+        graph = erdos_renyi_graph(30, 0.4, rng=0)
+        result = triangles_at(graph, np.empty(0, dtype=np.int64))
+        assert result.dtype == np.int64 and result.size == 0
+
+    def test_isolated_and_degree_one_nodes(self, backend):
+        # Triangle 0-1-2, pendant 3 on node 0, isolated 4 and 5.
+        graph = Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3)])
+        assert triangles_at(graph, np.array([3, 4, 5, 0, 1])).tolist() == [0, 0, 0, 1, 1]
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_graphs(self, backend, n):
+        graph = Graph(n, [(0, 1)] if n == 2 else [])
+        assert triangles_at(graph, np.arange(n)).tolist() == [0] * n
+
+    def test_order_and_duplicates_follow_nodes(self, backend):
+        graph = erdos_renyi_graph(50, 0.3, rng=8)
+        nodes = np.array([7, 2, 7, 49, 0])
+        assert np.array_equal(triangles_at(graph, nodes), networkx_triangles(graph)[nodes])
+
+    def test_packed_argument_is_used_as_is(self):
+        """A supplied matrix is counted even when dispatch would pick sparse."""
+        graph = powerlaw_cluster_graph(400, 4, 0.5, rng=0)
+        assert not should_use_packed(graph)
+        nodes = np.arange(0, 400, 7)
+        packed = BitMatrix.from_graph(graph)
+        assert np.array_equal(
+            triangles_at(graph, nodes, packed=packed), networkx_triangles(graph)[nodes]
+        )
+
+    def test_bitmatrix_method_aligned_with_nodes(self):
+        graph = erdos_renyi_graph(200, 0.2, rng=6)
+        nodes = np.array([199, 64, 63, 0, 128])
+        assert np.array_equal(
+            BitMatrix.from_graph(graph).triangles_at(nodes), networkx_triangles(graph)[nodes]
+        )
+
+
+def touch_rows(graph: Graph, touched: np.ndarray, rng: np.random.Generator) -> Graph:
+    """An after-graph differing from ``graph`` only on pairs incident to
+    ``touched``: drop roughly half the incident edges, add fresh claims."""
+    rows, cols = graph.edge_arrays()
+    incident = np.isin(rows, touched) | np.isin(cols, touched)
+    drop = incident & (rng.random(rows.size) < 0.5)
+    after = graph.without_edges(
+        list(zip(rows[drop].tolist(), cols[drop].tolist()))
+    )
+    n = graph.num_nodes
+    additions = []
+    for node in touched.tolist():
+        for neighbor in rng.choice(n, size=min(n - 1, 4), replace=False).tolist():
+            if neighbor != node:
+                additions.append((node, neighbor))
+    return after.with_edges(additions)
+
+
+class TestWithEdits:
+    def test_patch_equals_repack(self):
+        rng = np.random.default_rng(9)
+        graph = erdos_renyi_graph(50, 0.2, rng=6)
+        touched = np.array([2, 3, 30])
+        after = touch_rows(graph, touched, rng)
+        added = after.edge_codes[~np.isin(after.edge_codes, graph.edge_codes)]
+        removed = graph.edge_codes[~np.isin(graph.edge_codes, after.edge_codes)]
+        add_rows, add_cols = decode_pairs(added, 50)
+        drop_rows, drop_cols = decode_pairs(removed, 50)
+        patched = BitMatrix.from_graph(graph).with_edits(
+            add_rows, add_cols, drop_rows, drop_cols
+        )
+        assert np.array_equal(patched.rows, BitMatrix.from_graph(after).rows)
+
+    def test_noop_edit_returns_equal_matrix(self):
+        graph = erdos_renyi_graph(10, 0.5, rng=0)
+        packed = BitMatrix.from_graph(graph)
+        empty = np.empty(0, dtype=np.int64)
+        assert np.array_equal(packed.with_edits(empty, empty, empty, empty).rows, packed.rows)

@@ -1,5 +1,8 @@
 """Tests for repro.graph.datasets (Table II surrogates)."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.graph.datasets import DATASETS, dataset_statistics, load_dataset
@@ -58,6 +61,20 @@ class TestLoadDataset:
     def test_unknown_dataset(self):
         with pytest.raises(KeyError, match="unknown dataset"):
             load_dataset("twitter")
+
+    @pytest.mark.parametrize("args,nodes,edges,digest", [
+        (("gplus", 0.0312), 3358, 362710,
+         "2238ffcfd00325765578e20bebfa34297022febe711f626867b3fd7405ed4aa8"),
+        (("facebook",), 4039, 88043,
+         "656c80f886075c4102999a0253699292791218c9726fc4fa24853452dd3174f9"),
+    ])
+    def test_surrogate_edges_pinned(self, args, nodes, edges, digest):
+        """Generator rewrites must leave the surrogates — and every cached
+        result computed on them — byte for byte unchanged."""
+        graph = load_dataset(*args)
+        assert (graph.num_nodes, graph.num_edges) == (nodes, edges)
+        codes = np.asarray(graph.edge_codes, dtype=np.int64)
+        assert hashlib.sha256(codes.tobytes()).hexdigest() == digest
 
     def test_case_insensitive(self):
         assert load_dataset("Facebook", scale=0.02).num_nodes > 0

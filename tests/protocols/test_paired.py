@@ -10,9 +10,11 @@ plumbing the shared path relies on.
 import numpy as np
 import pytest
 
+from repro.core.clustering_attacks import ClusteringMGA
 from repro.core.degree_attacks import DegreeMGA
 from repro.core.gain import evaluate_attack
 from repro.core.threat_model import AttackerKnowledge, ThreatModel
+from repro.defenses.base import remove_flagged_pairs
 from repro.defenses.evaluation import evaluate_defended_attack
 from repro.defenses.naive import NaiveTopDegreeDefense
 from repro.graph.generators import powerlaw_cluster_graph
@@ -142,20 +144,6 @@ class TestEvaluationPipelineEquivalence:
         assert np.array_equal(outcome.after, expected_after)
         assert outcome.total_gain == float(np.abs(expected_after - expected_before).sum())
 
-    def test_evaluate_attack_matches_legacy_across_thresholds(self, graph, monkeypatch):
-        """Fallback and incremental estimation yield the same bits."""
-        threat = ThreatModel.sample(graph, 0.1, 0.05, rng=2)
-        protocol = LFGDPRProtocol(epsilon=2.0)
-        gains = []
-        for threshold in ("0.0", "1.0"):
-            monkeypatch.setenv("REPRO_DELTA_THRESHOLD", threshold)
-            outcome = evaluate_attack(
-                graph, protocol, DegreeMGA(), threat,
-                metric="clustering_coefficient", rng=5,
-            )
-            gains.append(outcome.after.tolist())
-        assert gains[0] == gains[1]
-
     def test_defended_evaluation_matches_legacy(self, graph):
         threat = ThreatModel.sample(graph, 0.05, 0.05, rng=3)
         protocol = LFGDPRProtocol(epsilon=4.0)
@@ -187,6 +175,95 @@ class TestEvaluationPipelineEquivalence:
         assert np.array_equal(
             outcome.after, target_estimates(protocol, metric, after, threat.targets)
         )
+
+
+def test_views_free_without_cycle_collection(graph):
+    """The honest view must not reference itself: a cycle would keep every
+    trial's perturbed graph and packed matrix alive until the cyclic
+    collector happens to run."""
+    import gc
+    import weakref
+
+    protocol = LFGDPRProtocol(epsilon=2.0)
+    gc.disable()
+    try:
+        run = protocol.collect_paired(graph, 3)
+        after = run.after(replace_overrides(graph.num_nodes))
+        assert run.before.baseline.honest is None
+        assert after.baseline.honest is run.before
+        for reports in (run.before, after):
+            protocol.estimate_clustering_coefficient(reports, nodes=np.arange(5))
+        honest = weakref.ref(run.before)
+        del run, after, reports
+        assert honest() is None
+    finally:
+        gc.enable()
+
+
+def assert_bit_identical(first, second, view=""):
+    assert first.dtype == second.dtype == np.float64, view
+    assert first.tobytes() == second.tobytes(), view
+
+
+class TestTargetOnlyEstimation:
+    """``estimate_clustering_coefficient(r, nodes)`` is the full vector
+    indexed by ``nodes``, bit for bit, on every view the gain reads."""
+
+    @pytest.mark.parametrize("backend", ["0", "1.1"])
+    @pytest.mark.parametrize("plugin", ["perturbed", "calibrated"])
+    @pytest.mark.parametrize("clip", [False, True])
+    def test_lfgdpr_views(self, graph, backend, plugin, clip, monkeypatch):
+        monkeypatch.setenv("REPRO_DENSE_THRESHOLD", backend)
+        protocol = LFGDPRProtocol(
+            epsilon=2.0, clustering_degree_plugin=plugin, clip_clustering=clip
+        )
+        threat = ThreatModel.sample(graph, 0.1, 0.1, rng=2)
+        knowledge = AttackerKnowledge.from_protocol(protocol, graph)
+        overrides = ClusteringMGA().craft(graph, threat, knowledge, rng=5)
+        run = protocol.collect_paired(graph, 17)
+        after = run.after(overrides)
+        defended, flagged = NaiveTopDegreeDefense().apply(after)
+        assert flagged.size and defended.baseline is None
+        # Low ids shift every kept user's position in the induced subgraph.
+        low_ids = np.array([0, 3, 10, 11])
+        # Targets plus excluded users (which estimate to 0), out of order.
+        nodes = np.concatenate([threat.targets[::-1], flagged[:3], low_ids[:2]])
+        views = {
+            "honest": run.before,
+            "paired-after": after,
+            "defended": defended,
+            "removed-low-ids": remove_flagged_pairs(after, low_ids),
+            "unpaired": protocol.collect(graph, 17, overrides=overrides),
+        }
+        for name, reports in views.items():
+            full = protocol.estimate_clustering_coefficient(reports)
+            at_nodes = protocol.estimate_clustering_coefficient(reports, nodes=nodes)
+            assert_bit_identical(at_nodes, full[nodes], name)
+
+    def test_ldpgen_indexes_full_vector(self, graph):
+        protocol = LDPGenProtocol(epsilon=4.0, refined_groups=4)
+        threat = ThreatModel.sample(graph, 0.05, 0.1, rng=4)
+        knowledge = AttackerKnowledge.from_protocol(protocol, graph)
+        overrides = ClusteringMGA().craft(graph, threat, knowledge, rng=3)
+        run = protocol.collect_paired(graph, 9)
+        for reports in (run.before, run.after(overrides)):
+            full = protocol.estimate_clustering_coefficient(reports)
+            at_nodes = protocol.estimate_clustering_coefficient(reports, nodes=threat.targets)
+            assert_bit_identical(at_nodes, full[threat.targets])
+
+    def test_evaluate_attack_reads_targets_only(self, graph):
+        """The gain pipeline's target-only estimates match the full vectors."""
+        threat = ThreatModel.sample(graph, 0.1, 0.05, rng=2)
+        protocol = LFGDPRProtocol(epsilon=2.0)
+        outcome = evaluate_attack(
+            graph, protocol, ClusteringMGA(), threat,
+            metric="clustering_coefficient", rng=5,
+        )
+        before, after = two_run_reference(graph, protocol, ClusteringMGA(), threat, rng=5)
+        full_before = protocol.estimate_clustering_coefficient(before)
+        full_after = protocol.estimate_clustering_coefficient(after)
+        assert_bit_identical(outcome.before, full_before[threat.targets])
+        assert_bit_identical(outcome.after, full_after[threat.targets])
 
 
 class TestAugmentCollisionRegression:

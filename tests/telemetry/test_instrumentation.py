@@ -188,31 +188,35 @@ class TestResultStoreCounters:
         assert tracer.counters["result_store.migrated"] == 1
 
 
-class TestDeltaCounters:
-    def _run_incremental(self):
+class TestTriangleCounters:
+    def test_full_sweeps_and_rows_counted(self):
         from repro.graph.generators import erdos_renyi_graph
-        from repro.graph.metrics import triangles_per_node, triangles_per_node_incremental
+        from repro.graph.metrics import triangles_at, triangles_per_node
 
-        rng = np.random.default_rng(7)
         graph = erdos_renyi_graph(30, 0.3, rng=2)
-        touched = np.array([1, 5, 9])
-        triangles_per_node_incremental(
-            graph, graph, touched, triangles_per_node(graph)
-        )
-
-    def test_incremental_side_fires_counter(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DELTA_THRESHOLD", "1.0")
         with use_tracer(Tracer()) as tracer:
-            self._run_incremental()
-        assert tracer.counters.get("delta.incremental", 0) == 1
-        assert "delta.fallback" not in tracer.counters
+            triangles_per_node(graph)
+            triangles_at(graph, np.array([1, 5, 9]))
+            triangles_at(graph, np.array([2]))
+        assert tracer.counters["triangles.full"] == 1
+        assert tracer.counters["triangles.rows"] == 4
 
-    def test_fallback_side_fires_counter(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DELTA_THRESHOLD", "0.0")
+    def test_clustering_gain_counts_targets_only(self):
+        from repro.core.clustering_attacks import ClusteringMGA
+        from repro.core.gain import evaluate_attack
+        from repro.core.threat_model import ThreatModel
+        from repro.graph.generators import powerlaw_cluster_graph
+        from repro.protocols.lfgdpr import LFGDPRProtocol
+
+        graph = powerlaw_cluster_graph(120, 3, 0.4, rng=0)
+        threat = ThreatModel.sample(graph, 0.05, 0.1, rng=1)
         with use_tracer(Tracer()) as tracer:
-            self._run_incremental()
-        assert tracer.counters.get("delta.fallback", 0) == 1
-        assert "delta.incremental" not in tracer.counters
+            evaluate_attack(
+                graph, LFGDPRProtocol(epsilon=2.0), ClusteringMGA(), threat,
+                metric="clustering_coefficient", rng=3,
+            )
+        assert "triangles.full" not in tracer.counters
+        assert tracer.counters["triangles.rows"] == 2 * threat.targets.size
 
 
 class TestScenarioTelemetry:
