@@ -12,6 +12,7 @@ from repro.ldp.mechanisms import rr_keep_probability
 from repro.protocols.base import FakeReport
 from repro.core.threat_model import AttackerKnowledge, ThreatModel
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.sparse import sorted_unique
 
 
 class Attack(abc.ABC):
@@ -55,18 +56,24 @@ def random_new_neighbors(
     """Sample ``count`` distinct new neighbours for ``node`` uniformly.
 
     Excludes ``node`` itself and ``existing`` neighbours.  Returns fewer than
-    ``count`` only if the graph runs out of candidates.
+    ``count`` only if the graph runs out of candidates.  Forbidden and
+    already-chosen nodes are tracked as node masks, so each rejection round
+    is one O(batch) lookup rather than a sorted set operation.
     """
-    forbidden = np.union1d(existing, [node])
-    available = num_nodes - forbidden.size
+    forbidden = np.zeros(num_nodes, dtype=bool)
+    forbidden[np.asarray(existing, dtype=np.int64)] = True
+    forbidden[node] = True
+    available = num_nodes - int(np.count_nonzero(forbidden))
     count = min(count, available)
     if count <= 0:
         return np.empty(0, dtype=np.int64)
-    chosen: np.ndarray = np.empty(0, dtype=np.int64)
-    while chosen.size < count:
-        draws = rng.integers(0, num_nodes, size=int((count - chosen.size) * 1.3) + 8)
-        draws = np.setdiff1d(draws, forbidden)
-        chosen = np.union1d(chosen, draws)
+    taken = np.zeros(num_nodes, dtype=bool)
+    num_chosen = 0
+    while num_chosen < count:
+        draws = rng.integers(0, num_nodes, size=int((count - num_chosen) * 1.3) + 8)
+        taken[draws[~forbidden[draws]]] = True
+        num_chosen = int(np.count_nonzero(taken))
+    chosen = np.flatnonzero(taken)
     if chosen.size > count:
         chosen = rng.choice(chosen, size=count, replace=False)
     return np.sort(chosen)
@@ -86,12 +93,12 @@ def rr_perturb_neighbor_set(
     ``N - 1 - d`` zero bits flips with probability ``1 - p``.
     """
     keep = rr_keep_probability(epsilon)
-    neighbors = np.unique(np.asarray(neighbors, dtype=np.int64))
+    neighbors = sorted_unique(np.array(neighbors, dtype=np.int64).ravel())
     survivors = neighbors[rng.random(neighbors.size) < keep]
     num_zero_bits = num_nodes - 1 - neighbors.size
     flip_count = int(rng.binomial(num_zero_bits, 1.0 - keep)) if num_zero_bits > 0 else 0
     flipped = random_new_neighbors(node, neighbors, flip_count, num_nodes, rng)
-    return np.union1d(survivors, flipped)
+    return np.sort(np.concatenate([survivors, flipped]))
 
 
 def ensure_attack_rng(rng: RngLike) -> np.random.Generator:

@@ -27,6 +27,7 @@ from repro.graph.adjacency import Graph
 from repro.graph.metrics import edge_density
 from repro.protocols.base import CollectedReports
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.sparse import encode_pairs, merge_sorted_disjoint
 
 
 class Defense(abc.ABC):
@@ -85,22 +86,40 @@ def detection_quality(flagged: np.ndarray, fake_users: np.ndarray) -> DetectionQ
     )
 
 
+def _flagged_ids(flagged: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Normalise flagged user ids to sorted unique int64, checking their range.
+
+    A negative id would silently index from the end of every node mask and
+    an id of ``num_nodes`` or more would fail with a bare ``IndexError``;
+    both raise a ``ValueError`` naming the first bad id instead.  Duplicates
+    collapse, so no user is repaired twice.
+    """
+    ids = np.asarray(flagged, dtype=np.int64).ravel()
+    bad = ids[(ids < 0) | (ids >= num_nodes)]
+    if bad.size:
+        raise ValueError(f"flagged id {int(bad[0])} out of range [0, {num_nodes})")
+    return np.unique(ids)
+
+
 def remove_flagged_pairs(reports: CollectedReports, flagged: np.ndarray) -> CollectedReports:
     """Removal repair: drop every pair incident to a flagged user.
 
     The flagged users are recorded in ``excluded`` so estimators calibrate
     against the reduced bit universe instead of reading the removal as a
-    global degree drop.
+    global degree drop.  The kept pairs are a masked subset of the sorted
+    edge codes, so the repaired graph is built from them without a re-sort.
     """
-    flagged = np.asarray(flagged, dtype=np.int64)
+    graph = reports.perturbed_graph
+    flagged = _flagged_ids(flagged, graph.num_nodes)
     if flagged.size == 0:
         return reports
-    graph = reports.perturbed_graph
     mask = np.zeros(graph.num_nodes, dtype=bool)
     mask[flagged] = True
     rows, cols = graph.edge_arrays()
     keep = ~(mask[rows] | mask[cols])
-    repaired = Graph(graph.num_nodes, zip(rows[keep].tolist(), cols[keep].tolist()))
+    repaired = Graph.from_codes(
+        graph.num_nodes, graph.edge_codes[keep], assume_sorted_unique=True
+    )
     return CollectedReports(
         perturbed_graph=repaired,
         reported_degrees=reports.reported_degrees,
@@ -118,30 +137,34 @@ def resample_flagged_rows(
 
     Pairs between two flagged users are drawn once (not twice).  Genuine
     flagged users lose their real data — the false-positive cost that drives
-    the U-shape of Fig. 12(a).
+    the U-shape of Fig. 12(a).  Every drawn pair touches a flagged user and
+    the stripped graph has none, so the drawn codes merge into the stripped
+    codes without a re-sort.
     """
-    flagged = np.asarray(flagged, dtype=np.int64)
+    graph = reports.perturbed_graph
+    n = graph.num_nodes
+    flagged = _flagged_ids(flagged, n)
     if flagged.size == 0:
         return reports
     generator = ensure_rng(rng)
-    graph = reports.perturbed_graph
     density = edge_density(graph)
     stripped = remove_flagged_pairs(reports, flagged).perturbed_graph
 
     # Process flagged nodes in order, unmasking each as it is handled, so a
     # flagged-flagged pair is drawn exactly once (by the later node).
-    mask = np.zeros(graph.num_nodes, dtype=bool)
+    mask = np.zeros(n, dtype=bool)
     mask[flagged] = True
-    new_edges: list[tuple[int, int]] = []
+    drawn = [np.empty(0, dtype=np.int64)]
     for node in flagged.tolist():
         mask[node] = False
         others = np.flatnonzero(~mask)
         others = others[others != node]
         draws = others[generator.random(others.size) < density]
-        new_edges.extend((node, int(other)) for other in draws)
+        drawn.append(encode_pairs(np.full(draws.size, node), draws, n))
+    merged = merge_sorted_disjoint(stripped.edge_codes, np.sort(np.concatenate(drawn)))
 
     return CollectedReports(
-        perturbed_graph=stripped.with_edges(new_edges),
+        perturbed_graph=Graph.from_codes(n, merged, assume_sorted_unique=True),
         reported_degrees=reports.reported_degrees,
         adjacency_epsilon=reports.adjacency_epsilon,
         degree_epsilon=reports.degree_epsilon,

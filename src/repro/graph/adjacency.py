@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.utils.sparse import decode_pairs, encode_pairs, pair_count
+from repro.utils.sparse import decode_sorted_pairs, encode_pairs, pair_count, sorted_unique
 from repro.utils.validation import check_non_negative
 
 #: Codes decoded per chunk when counting degrees (4M codes ~ 96 MB of
@@ -96,13 +96,17 @@ class Graph:
     def __init__(self, num_nodes: int, edges: Iterable[Tuple[int, int]] = ()):
         check_non_negative(num_nodes, "num_nodes")
         self._num_nodes = int(num_nodes)
-        edge_array = np.asarray(list(edges), dtype=np.int64)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        edge_array = np.asarray(edges, dtype=np.int64)
         if edge_array.size == 0:
             codes = np.empty(0, dtype=np.int64)
         else:
             if edge_array.ndim != 2 or edge_array.shape[1] != 2:
                 raise ValueError("edges must be an iterable of (u, v) pairs")
-            codes = np.unique(encode_pairs(edge_array[:, 0], edge_array[:, 1], self._num_nodes))
+            codes = sorted_unique(
+                encode_pairs(edge_array[:, 0], edge_array[:, 1], self._num_nodes)
+            )
         self._codes = codes
         self._indptr = self._indices = self._degrees = None
 
@@ -113,9 +117,10 @@ class Graph:
         """Build a graph directly from unordered-pair codes.
 
         With ``assume_sorted_unique`` the caller guarantees ``codes`` is
-        already sorted and duplicate-free (e.g. the output of ``np.union1d``,
-        ``np.setdiff1d`` or :func:`repro.utils.sparse.merge_sorted_disjoint`),
-        skipping the O(E log E) ``np.unique`` pass — the dominant construction
+        already sorted and duplicate-free (e.g. a masked subset of another
+        graph's :attr:`edge_codes`, or the output of
+        :func:`repro.utils.sparse.merge_sorted_disjoint`), skipping the
+        O(E log E) sort-and-deduplicate pass — the dominant construction
         cost for the near-dense graphs low-epsilon randomized response emits.
         An owning array is adopted without copying and frozen
         (``writeable=False``), so a caller mutating its buffer afterwards
@@ -128,7 +133,7 @@ class Graph:
         codes = np.asarray(codes, dtype=np.int64)
         if codes.size:
             if not assume_sorted_unique:
-                codes = np.unique(codes)
+                codes = sorted_unique(codes.copy())
             else:
                 if not codes.flags.owndata:
                     codes = codes.copy()
@@ -179,7 +184,7 @@ class Graph:
 
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Edges as two aligned arrays ``(rows, cols)`` with ``rows < cols``."""
-        return decode_pairs(self._codes, self._num_nodes)
+        return decode_sorted_pairs(self._codes, self._num_nodes)
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Iterate over edges as python int pairs, ``u < v``."""
@@ -197,7 +202,7 @@ class Graph:
         if self._degrees is None:
             counts = np.zeros(self._num_nodes, dtype=np.int64)
             for start in range(0, self._codes.size, _DEGREE_CHUNK_CODES):
-                rows, cols = decode_pairs(
+                rows, cols = decode_sorted_pairs(
                     self._codes[start : start + _DEGREE_CHUNK_CODES], self._num_nodes
                 )
                 counts += np.bincount(rows, minlength=self._num_nodes)
@@ -360,16 +365,25 @@ class Graph:
         return Graph.from_codes(new_n, codes, assume_sorted_unique=True)
 
     def subgraph(self, nodes: Sequence[int]) -> "Graph":
-        """Induced subgraph on ``nodes`` (relabelled to 0..len(nodes)-1)."""
+        """Induced subgraph on ``nodes`` (relabelled to 0..len(nodes)-1).
+
+        The kept pairs are relabelled and re-encoded straight into codes.
+        For ascending ``nodes`` the relabelling is monotone, so the
+        re-encoded codes keep the lexicographic order of the source codes
+        and need no sort.
+        """
         nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.size != np.unique(nodes).size:
+        if nodes.size and (nodes.min() < 0 or nodes.max() >= self._num_nodes):
+            raise ValueError(f"subgraph nodes must lie in [0, {self._num_nodes})")
+        ascending = bool(np.all(nodes[1:] > nodes[:-1]))
+        if not ascending and nodes.size != np.unique(nodes).size:
             raise ValueError("subgraph nodes must be unique")
         mapping = -np.ones(self._num_nodes, dtype=np.int64)
         mapping[nodes] = np.arange(nodes.size)
         rows, cols = self.edge_arrays()
         keep = (mapping[rows] >= 0) & (mapping[cols] >= 0)
-        edges = np.stack([mapping[rows[keep]], mapping[cols[keep]]], axis=1)
-        return Graph(nodes.size, edges)
+        codes = encode_pairs(mapping[rows[keep]], mapping[cols[keep]], nodes.size)
+        return Graph.from_codes(nodes.size, codes, assume_sorted_unique=ascending)
 
     # ------------------------------------------------------------------
     # Internals
@@ -387,7 +401,7 @@ class Graph:
         """
         if self._indices is not None:
             return
-        rows, cols = decode_pairs(self._codes, self._num_nodes)
+        rows, cols = decode_sorted_pairs(self._codes, self._num_nodes)
         all_rows = np.concatenate([cols, rows])
         all_cols = np.concatenate([rows, cols])
         order = np.argsort(all_rows, kind="stable")

@@ -45,6 +45,7 @@ from repro.utils.sparse import (
     encode_pairs,
     merge_sorted_disjoint,
     reject_members,
+    sorted_unique,
 )
 
 
@@ -87,7 +88,7 @@ class FakeReport:
     degree_delta: float = 0.0
 
     def __post_init__(self):
-        neighbors = np.unique(np.asarray(self.claimed_neighbors, dtype=np.int64))
+        neighbors = sorted_unique(np.array(self.claimed_neighbors, dtype=np.int64).ravel())
         object.__setattr__(self, "claimed_neighbors", neighbors)
 
 

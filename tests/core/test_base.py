@@ -37,6 +37,49 @@ class TestRandomNewNeighbors:
         assert random_new_neighbors(0, np.array([1]), 0, 10, rng).size == 0
 
 
+def reference_random_new_neighbors(node, existing, count, num_nodes, rng):
+    """The sorted-set-operation implementation the node masks replaced."""
+    forbidden = np.union1d(existing, [node])
+    available = num_nodes - forbidden.size
+    count = min(count, available)
+    if count <= 0:
+        return np.empty(0, dtype=np.int64)
+    chosen = np.empty(0, dtype=np.int64)
+    while chosen.size < count:
+        draws = rng.integers(0, num_nodes, size=int((count - chosen.size) * 1.3) + 8)
+        draws = np.setdiff1d(draws, forbidden)
+        chosen = np.union1d(chosen, draws)
+    if chosen.size > count:
+        chosen = rng.choice(chosen, size=count, replace=False)
+    return np.sort(chosen)
+
+
+class TestRandomNewNeighborsOracle:
+    """Same output and same generator state as the reference implementation."""
+
+    CASES = [
+        # (node, existing, count, num_nodes)
+        (0, [], 10, 50),
+        (3, [1, 2, 3, 7], 4, 10),  # existing contains node itself
+        (0, [1, 2], 100, 5),  # count > available
+        (4, [0, 1, 2, 3], 5, 5),  # nothing available
+        (9, [], 0, 20),
+        (17, list(range(0, 4000, 3)), 1500, 4039),
+        (100, list(range(50, 150)), 30, 200),
+    ]
+
+    @pytest.mark.parametrize("node,existing,count,num_nodes", CASES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_reference(self, node, existing, count, num_nodes, seed):
+        existing = np.array(existing, dtype=np.int64)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_new_neighbors(node, existing, count, num_nodes, ours)
+        expected = reference_random_new_neighbors(node, existing, count, num_nodes, theirs)
+        assert np.array_equal(got, expected)
+        assert got.dtype == np.int64
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 class TestRRPerturbNeighborSet:
     def test_output_excludes_self(self):
         rng = np.random.default_rng(0)

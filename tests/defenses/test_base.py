@@ -3,13 +3,23 @@
 import numpy as np
 import pytest
 
+from repro.core.clustering_attacks import ClusteringMGA
+from repro.core.threat_model import ThreatModel
 from repro.defenses.base import (
     detection_quality,
     remove_flagged_pairs,
     resample_flagged_rows,
 )
+from repro.defenses.degree_consistency import DegreeConsistencyDefense
+from repro.defenses.evaluation import evaluate_defended_attack
+from repro.defenses.frequent_itemset import FrequentItemsetDefense
+from repro.defenses.naive import NaiveDegreeTailsDefense, NaiveTopDegreeDefense
 from repro.graph.adjacency import Graph
+from repro.graph.generators import powerlaw_cluster_graph
+from repro.graph.metrics import edge_density
 from repro.protocols.base import CollectedReports
+from repro.protocols.lfgdpr import LFGDPRProtocol
+from repro.utils.rng import ensure_rng
 
 
 @pytest.fixture
@@ -98,3 +108,193 @@ class TestResampleFlaggedRows:
 
     def test_no_flagged_identity(self, reports):
         assert resample_flagged_rows(reports, np.array([], dtype=np.int64)) is reports
+
+
+class TestFlaggedIdValidation:
+    """Both repairs normalise flagged ids and reject out-of-range ones."""
+
+    @pytest.mark.parametrize("bad", [-1, 8, 100])
+    def test_remove_rejects_out_of_range(self, reports, bad):
+        with pytest.raises(ValueError, match=f"flagged id {bad} out of range"):
+            remove_flagged_pairs(reports, np.array([0, bad]))
+
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_resample_rejects_out_of_range(self, reports, bad):
+        with pytest.raises(ValueError, match=f"flagged id {bad} out of range"):
+            resample_flagged_rows(reports, np.array([bad]), rng=5)
+
+    def test_error_names_first_bad_id(self, reports):
+        with pytest.raises(ValueError, match="flagged id 9 "):
+            remove_flagged_pairs(reports, np.array([1, 9, -3]))
+
+    def test_negative_id_does_not_strip_last_node(self, reports):
+        # An unchecked -1 used to index node 7's mask entry.
+        with pytest.raises(ValueError):
+            remove_flagged_pairs(reports, [-1])
+        assert reports.perturbed_graph.has_edge(6, 7)
+
+    def test_remove_duplicates_collapse(self, reports):
+        once = remove_flagged_pairs(reports, np.array([3]))
+        twice = remove_flagged_pairs(reports, np.array([3, 3]))
+        assert twice.perturbed_graph == once.perturbed_graph
+        assert twice.excluded.tolist() == [3]
+
+    def test_resample_duplicates_draw_once(self, reports):
+        once = resample_flagged_rows(reports, [0], rng=5)
+        twice = resample_flagged_rows(reports, [0, 0], rng=5)
+        assert twice.perturbed_graph == once.perturbed_graph
+
+    def test_unsorted_ids_normalised(self, reports):
+        a = resample_flagged_rows(reports, [5, 2], rng=1)
+        b = resample_flagged_rows(reports, [2, 5], rng=1)
+        assert a.perturbed_graph == b.perturbed_graph
+
+
+# ---------------------------------------------------------------------------
+# Oracles: reference copies of the edge-list implementations the code-form
+# repairs replaced.  Inputs are sorted unique ids, as every detector emits.
+# ---------------------------------------------------------------------------
+def reference_remove(reports, flagged):
+    flagged = np.asarray(flagged, dtype=np.int64)
+    if flagged.size == 0:
+        return reports
+    graph = reports.perturbed_graph
+    mask = np.zeros(graph.num_nodes, dtype=bool)
+    mask[flagged] = True
+    rows, cols = graph.edge_arrays()
+    keep = ~(mask[rows] | mask[cols])
+    repaired = Graph(graph.num_nodes, zip(rows[keep].tolist(), cols[keep].tolist()))
+    return CollectedReports(
+        perturbed_graph=repaired,
+        reported_degrees=reports.reported_degrees,
+        adjacency_epsilon=reports.adjacency_epsilon,
+        degree_epsilon=reports.degree_epsilon,
+        overridden=reports.overridden,
+        excluded=np.union1d(reports.excluded, flagged),
+    )
+
+
+def reference_resample(reports, flagged, rng):
+    flagged = np.asarray(flagged, dtype=np.int64)
+    if flagged.size == 0:
+        return reports
+    generator = ensure_rng(rng)
+    graph = reports.perturbed_graph
+    density = edge_density(graph)
+    stripped = reference_remove(reports, flagged).perturbed_graph
+    mask = np.zeros(graph.num_nodes, dtype=bool)
+    mask[flagged] = True
+    new_edges = []
+    for node in flagged.tolist():
+        mask[node] = False
+        others = np.flatnonzero(~mask)
+        others = others[others != node]
+        draws = others[generator.random(others.size) < density]
+        new_edges.extend((node, int(other)) for other in draws)
+    return CollectedReports(
+        perturbed_graph=stripped.with_edges(new_edges),
+        reported_degrees=reports.reported_degrees,
+        adjacency_epsilon=reports.adjacency_epsilon,
+        degree_epsilon=reports.degree_epsilon,
+        overridden=reports.overridden,
+        excluded=reports.excluded,
+    )
+
+
+def random_reports(n, density, seed, excluded=()):
+    rng = np.random.default_rng(seed)
+    rows, cols = np.triu_indices(n, k=1)
+    keep = rng.random(rows.size) < density
+    graph = Graph(n, np.stack([rows[keep], cols[keep]], axis=1))
+    return CollectedReports(
+        perturbed_graph=graph,
+        reported_degrees=np.zeros(n),
+        adjacency_epsilon=1.0,
+        degree_epsilon=1.0,
+        excluded=np.asarray(excluded, dtype=np.int64),
+    )
+
+
+def flagged_sets(n, seed):
+    rng = np.random.default_rng(seed)
+    sets = [np.empty(0, dtype=np.int64), np.array([n - 1]), np.arange(n)]
+    if n >= 2:
+        first = int(rng.integers(0, n - 1))
+        sets.append(np.array([first, first + 1]))
+        sets.append(np.sort(rng.choice(n, size=max(1, n // 4), replace=False)))
+    return sets
+
+
+ORACLE_CASES = [
+    (n, density, seed)
+    for n in (1, 2, 5, 17, 60)
+    for density in (0.0, 0.1, 0.5, 1.0)
+    for seed in (0, 1)
+]
+
+
+def assert_same_reports(actual, expected):
+    assert actual.perturbed_graph.num_nodes == expected.perturbed_graph.num_nodes
+    assert np.array_equal(
+        actual.perturbed_graph.edge_codes, expected.perturbed_graph.edge_codes
+    )
+    assert np.array_equal(actual.excluded, expected.excluded)
+
+
+class TestRepairOracles:
+    @pytest.mark.parametrize("n,density,seed", ORACLE_CASES)
+    def test_remove_matches_reference(self, n, density, seed):
+        for excluded in ((), (0,)):
+            reports = random_reports(n, density, seed, excluded)
+            for flagged in flagged_sets(n, seed):
+                assert_same_reports(
+                    remove_flagged_pairs(reports, flagged),
+                    reference_remove(reports, flagged),
+                )
+
+    @pytest.mark.parametrize("n,density,seed", ORACLE_CASES)
+    def test_resample_matches_reference(self, n, density, seed):
+        for excluded in ((), (n - 1,)):
+            reports = random_reports(n, density, seed, excluded)
+            for flagged in flagged_sets(n, seed):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert_same_reports(
+                    resample_flagged_rows(reports, flagged, rng=ours),
+                    reference_resample(reports, flagged, rng=theirs),
+                )
+                assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class TestDefendedTrialsStayInCodeForm:
+    """No defended trial rebuilds a graph from a Python edge list."""
+
+    @pytest.mark.parametrize(
+        "defense",
+        [
+            FrequentItemsetDefense(threshold=3),
+            DegreeConsistencyDefense(),
+            NaiveTopDegreeDefense(),
+            NaiveDegreeTailsDefense(),
+        ],
+        ids=lambda defense: defense.name,
+    )
+    def test_no_graph_constructor_call(self, defense, monkeypatch):
+        graph = powerlaw_cluster_graph(150, 4, 0.5, rng=0)
+        threat = ThreatModel.sample(graph, beta=0.05, gamma=0.05, rng=0)
+        protocol = LFGDPRProtocol(epsilon=4.0)
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("Graph.__init__ called inside a defended trial")
+
+        monkeypatch.setattr(Graph, "__init__", forbidden)
+        outcome = evaluate_defended_attack(
+            graph,
+            protocol,
+            ClusteringMGA(),
+            defense,
+            threat,
+            metric="clustering_coefficient",
+            rng=0,
+        )
+        assert outcome.flagged.size > 0
+        assert np.all(np.isfinite(outcome.after_defended))

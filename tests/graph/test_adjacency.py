@@ -171,6 +171,94 @@ class TestEdits:
         with pytest.raises(ValueError, match="unique"):
             triangle_plus_isolated.subgraph([0, 0, 1])
 
+    @pytest.mark.parametrize("nodes", [[-1, 2], [0, 4]])
+    def test_subgraph_out_of_range_rejected(self, triangle_plus_isolated, nodes):
+        # -1 used to alias node 3 through negative indexing.
+        with pytest.raises(ValueError, match="lie in"):
+            triangle_plus_isolated.subgraph(nodes)
+
+
+def random_graph(n, density, seed):
+    rng = np.random.default_rng(seed)
+    rows, cols = np.triu_indices(n, k=1)
+    keep = rng.random(rows.size) < density
+    return Graph(n, np.stack([rows[keep], cols[keep]], axis=1))
+
+
+class TestSubgraphOracle:
+    """Graph.subgraph against networkx's relabelled induced subgraph."""
+
+    @staticmethod
+    def reference(graph, nodes):
+        import networkx as nx
+
+        induced = graph.to_networkx().subgraph(nodes.tolist())
+        relabelled = nx.relabel_nodes(
+            induced, {int(node): position for position, node in enumerate(nodes)}
+        )
+        edges = sorted((min(u, v), max(u, v)) for u, v in relabelled.edges())
+        return nodes.size, edges
+
+    @pytest.mark.parametrize(
+        "n,density,seed", [(1, 0.5, 0), (6, 0.5, 1), (40, 0.2, 2), (40, 0.9, 3)]
+    )
+    def test_node_sets(self, n, density, seed):
+        graph = random_graph(n, density, seed)
+        rng = np.random.default_rng(seed)
+        sample = rng.choice(n, size=max(1, n // 2), replace=False)
+        node_sets = [
+            np.empty(0, dtype=np.int64),
+            np.arange(n),
+            np.sort(sample),
+            sample,
+            np.arange(n)[::-1],
+        ]
+        for nodes in node_sets:
+            sub = graph.subgraph(nodes)
+            num_nodes, edges = self.reference(graph, nodes)
+            assert sub.num_nodes == num_nodes
+            assert list(sub.edges()) == edges
+            assert np.all(np.diff(sub.edge_codes) > 0)
+
+    def test_all_nodes_sorted_is_identity(self):
+        graph = random_graph(30, 0.3, 4)
+        assert graph.subgraph(np.arange(30)) == graph
+
+
+class TestArrayEdgesConstruction:
+    """Graph(n, ndarray) equals Graph(n, list) on the same pairs."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_list(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 25
+        u = rng.integers(0, n, size=80)
+        v = rng.integers(0, n, size=80)
+        pairs = np.stack([u[u != v], v[u != v]], axis=1)  # duplicates and both orientations
+        from_array = Graph(n, pairs)
+        from_list = Graph(n, [tuple(pair) for pair in pairs.tolist()])
+        assert from_array == from_list
+        assert np.array_equal(from_array.edge_codes, from_list.edge_codes)
+
+    def test_empty_array(self):
+        assert Graph(4, np.empty((0, 2), dtype=np.int64)) == Graph(4)
+
+    def test_bad_shape_rejected(self):
+        with pytest.raises(ValueError, match="pairs"):
+            Graph(4, np.array([[0, 1, 2]]))
+
+    def test_input_not_mutated(self):
+        pairs = np.array([[3, 1], [0, 2], [1, 3]])
+        before = pairs.copy()
+        Graph(4, pairs)
+        assert np.array_equal(pairs, before)
+
+    def test_from_codes_does_not_sort_caller_array(self):
+        codes = np.array([5, 0, 3, 0], dtype=np.int64)
+        graph = Graph.from_codes(4, codes)
+        assert graph.edge_codes.tolist() == [0, 3, 5]
+        assert codes.tolist() == [5, 0, 3, 0]
+
 
 class TestLazyIndex:
     """The CSR index is built on first neighbour query, not at construction."""

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils import sparse
+from repro.graph import adjacency
 from repro.utils.sparse import (
     decode_pairs,
+    decode_sorted_pairs,
     encode_pairs,
     merge_sorted_disjoint,
     pair_count,
@@ -80,6 +82,62 @@ class TestEncodeDecode:
             codes = np.arange(pair_count(n), dtype=np.int64)
             rows, cols = decode_pairs(codes, n)
             assert np.array_equal(encode_pairs(rows, cols, n), codes)
+
+
+class TestDecodeSortedPairs:
+    """decode_sorted_pairs equals decode_pairs on every sorted code set."""
+
+    @staticmethod
+    def assert_matches(codes, n):
+        rows, cols = decode_sorted_pairs(codes, n)
+        expected_rows, expected_cols = decode_pairs(codes, n)
+        assert rows.dtype == np.int64 and cols.dtype == np.int64
+        assert np.array_equal(rows, expected_rows)
+        assert np.array_equal(cols, expected_cols)
+
+    def test_empty(self):
+        for n in (0, 1, 2, 7):
+            self.assert_matches(np.empty(0, dtype=np.int64), n)
+
+    def test_n_two(self):
+        self.assert_matches(np.array([0], dtype=np.int64), 2)
+
+    def test_first_and_last_codes(self):
+        for n in (2, 3, 10, 101):
+            last = pair_count(n) - 1
+            self.assert_matches(np.array([0], dtype=np.int64), n)
+            self.assert_matches(np.array([last], dtype=np.int64), n)
+            self.assert_matches(np.unique([0, last]).astype(np.int64), n)
+
+    def test_full_pair_space(self):
+        for n in range(2, 30):
+            self.assert_matches(np.arange(pair_count(n), dtype=np.int64), n)
+
+    def test_random_sorted_sets(self):
+        rng = np.random.default_rng(0)
+        for n in (2, 3, 9, 64, 500):
+            total = pair_count(n)
+            for density in (0.001, 0.05, 0.5, 0.99):
+                codes = np.flatnonzero(rng.random(total) < density).astype(np.int64)
+                self.assert_matches(codes, n)
+
+    def test_rejects_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            decode_sorted_pairs(np.array([pair_count(4)], dtype=np.int64), 4)
+        with pytest.raises(ValueError, match="out of range"):
+            decode_sorted_pairs(np.array([-1, 0], dtype=np.int64), 4)
+
+    def test_chunked_degrees_match(self, monkeypatch):
+        """Graph.degrees decodes in chunks; a small chunk splits rows apart."""
+        rng = np.random.default_rng(1)
+        n = 40
+        codes = np.flatnonzero(rng.random(pair_count(n)) < 0.3).astype(np.int64)
+        rows, cols = decode_pairs(codes, n)
+        expected = np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)
+        for chunk in (1, 7, 64):
+            monkeypatch.setattr(adjacency, "_DEGREE_CHUNK_CODES", chunk)
+            graph = adjacency.Graph.from_codes(n, codes, assume_sorted_unique=True)
+            assert np.array_equal(graph.degrees(), expected)
 
 
 class TestSamplePairsExcluding:
